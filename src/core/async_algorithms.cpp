@@ -10,8 +10,8 @@
 
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
+#include "core/runner_support.hpp"
 #include "data/sampler.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "tensor/ops.hpp"
@@ -75,11 +75,6 @@ const char* async_method_name(AsyncMethod method) {
     case AsyncMethod::kHogwildEasgd: return "Hogwild EASGD";
   }
   return "?";
-}
-
-RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
-                    AsyncMethod method) {
-  return run_async(ctx, hw, method, FaultPlan::none());
 }
 
 RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
@@ -249,7 +244,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
       tc += cup_s;
       local_ledger.charge_traced(Phase::kCpuUpdate, cup_s, tc);
 
-      if (iter % cfg.eval_every == 0 || iter == cfg.iterations) {
+      if (detail::probe_due(iter, cfg.eval_every, cfg.iterations)) {
         Snapshot snap;
         snap.iteration = iter;
         snap.vtime = wclock;
@@ -291,8 +286,7 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
             [](const Snapshot& a, const Snapshot& b) {
               return a.iteration < b.iteration;
             });
-  RunResult res;
-  res.method = async_method_name(method);
+  RunResult res = detail::start_result(async_method_name(method), cfg.workers);
   {
     const MutexLock lock(master.ledger_mutex);
     res.ledger = master.ledger;
@@ -300,15 +294,11 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
   double vtime_monotone = 0.0;
   for (const Snapshot& snap : snapshots) {
-    TracePoint p = eval.evaluate_packed(snap.weights);
-    p.iteration = snap.iteration;
     vtime_monotone = std::max(vtime_monotone, snap.vtime);
-    p.vtime = vtime_monotone;
-    res.trace.push_back(p);
+    detail::record_point(res, eval.evaluate_packed(snap.weights),
+                         snap.iteration, vtime_monotone);
   }
-  res.total_seconds = vtime_monotone;
-  res.iterations = master.completed.load();
-  res.workers = cfg.workers;
+  detail::finish(res, vtime_monotone, master.completed.load(), master.center);
   res.workers_survived = cfg.workers - master.crashed.load();
   if (res.workers_survived < res.workers) {
     // Crashes only abort the run when they leave the interaction budget
@@ -321,19 +311,8 @@ RunResult run_async(const AlgoContext& ctx, const GpuSystem& hw,
        << res.iterations << '/' << cfg.iterations << " interactions";
     res.abort_reason = os.str();
   }
-  res.final_params.assign(master.center.begin(), master.center.end());
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
   // Packed W̄ pull + push per interaction across the host link.
-  res.messages_sent = 2 * res.iterations;
-  res.bytes_sent = static_cast<std::uint64_t>(
-      2.0 * hw.model().weight_bytes * static_cast<double>(res.iterations));
-  obs::metrics()
-      .counter(obs::names::kCommMessagesModeled)
-      .add(res.messages_sent);
-  obs::metrics().counter(obs::names::kCommBytesModeled).add(res.bytes_sent);
+  detail::apply_modeled_wire(res, 2.0, 2.0 * hw.model().weight_bytes);
   return res;
 }
 

@@ -1,58 +1,29 @@
 #include "core/knl_algorithms.hpp"
 
-#include <algorithm>
-
 #include "comm/collectives.hpp"
-#include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
-#include "data/sampler.hpp"
-#include "obs/metrics.hpp"
+#include "core/runner_support.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
-#include "tensor/ops.hpp"
 
 namespace ds {
-namespace {
-
-struct NodeSet {
-  std::vector<std::unique_ptr<Network>> nets;
-  std::vector<BatchSampler> samplers;
-  Tensor batch;
-  std::vector<std::int32_t> labels;
-};
-
-NodeSet make_nodes(const AlgoContext& ctx, std::size_t count) {
-  NodeSet n;
-  n.nets.reserve(count);
-  n.samplers.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    n.nets.push_back(ctx.factory());
-    if (i > 0) n.nets[i]->copy_params_from(*n.nets[0]);
-    // Each node draws from its own local data copy with its own stream
-    // (Algorithm 4 line 10: "KNL_j randomly pick b samples from local
-    // memory").
-    n.samplers.emplace_back(*ctx.train, ctx.config.batch_size,
-                            ctx.config.seed * 15485863 + i);
-  }
-  return n;
-}
-
-}  // namespace
 
 RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
                                  const ClusterTiming& timing) {
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_cluster_sync_easgd");
-  NodeSet nodes = make_nodes(ctx, cfg.workers);
+  // Each node draws from its own local data copy with its own stream
+  // (Algorithm 4 line 10: "KNL_j randomly pick b samples from local
+  // memory").
+  detail::ReplicaSet nodes(ctx, cfg.workers, cfg.seed * 15485863);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   std::vector<float> center(nodes.nets[0]->arena().full_params().begin(),
                             nodes.nets[0]->arena().full_params().end());
-  std::vector<float> sum_w(center.size());
 
-  RunResult res;
-  res.method = "Comm-Efficient EASGD (KNL, Algorithm 4)";
+  RunResult res = detail::start_result(
+      "Comm-Efficient EASGD (KNL, Algorithm 4)", cfg.workers);
 
   // Per-iteration costs: local compute, packed tree broadcast + reduction
   // over the inter-node network, local updates. No host<->device data
@@ -66,25 +37,9 @@ RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
   const double up_s =
       params * timing.update_flops_per_param / timing.node_flops;
 
-  std::vector<std::span<const float>> views;
-  views.reserve(cfg.workers);
-
   double vtime = 0.0;
   for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-    for (std::size_t j = 0; j < cfg.workers; ++j) {
-      nodes.samplers[j].next(nodes.batch, nodes.labels);
-      nodes.nets[j]->zero_grads();
-      nodes.nets[j]->forward_backward(nodes.batch, nodes.labels);
-    }
-    views.clear();
-    for (auto& net : nodes.nets) views.push_back(net->arena().full_params());
-    reduce_sum(views, sum_w);
-    const float lr = cfg.lr_at(t);
-    for (auto& net : nodes.nets) {
-      easgd_worker_step(net->arena().full_params(),
-                        net->arena().full_grads(), center, lr, cfg.rho);
-    }
-    easgd_center_step_sum(center, sum_w, cfg.workers, lr, cfg.rho);
+    detail::sync_easgd_round(nodes, center, cfg.lr_at(t), cfg.rho);
 
     double tc = vtime;
     tc += fb_s;
@@ -97,28 +52,14 @@ RunResult run_cluster_sync_easgd(const AlgoContext& ctx,
     res.ledger.charge_traced(Phase::kCpuUpdate, up_s, tc);
     vtime += fb_s + comm_s + 2.0 * up_s;
 
-    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-      TracePoint p = eval.evaluate_packed(center);
-      p.iteration = t;
-      p.vtime = vtime;
-      res.trace.push_back(p);
+    if (detail::probe_due(t, cfg.eval_every, cfg.iterations)) {
+      detail::record_point(res, eval.evaluate_packed(center), t, vtime);
     }
   }
-  res.total_seconds = vtime;
-  res.iterations = cfg.iterations;
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
+  detail::finish(res, vtime, cfg.iterations, center);
   // Tree broadcast + reduce over the nodes: workers-1 messages each way.
-  res.messages_sent = 2 * (cfg.workers - 1) * cfg.iterations;
-  res.bytes_sent = static_cast<std::uint64_t>(
-      2.0 * static_cast<double>(cfg.workers - 1) * timing.model.weight_bytes *
-      static_cast<double>(cfg.iterations));
-  obs::metrics()
-      .counter(obs::names::kCommMessagesModeled)
-      .add(res.messages_sent);
-  obs::metrics().counter(obs::names::kCommBytesModeled).add(res.bytes_sent);
+  const double hops = 2.0 * static_cast<double>(cfg.workers - 1);
+  detail::apply_modeled_wire(res, hops, hops * timing.model.weight_bytes);
   return res;
 }
 
@@ -129,12 +70,13 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_knl_partition");
   DS_CHECK(pcfg.parts > 0, "need at least one partition");
-  NodeSet parts = make_nodes(ctx, pcfg.parts);
+  detail::ReplicaSet parts(ctx, pcfg.parts, cfg.seed * 15485863);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   KnlPartitionResult result;
   result.parts = pcfg.parts;
-  result.run.method = "KNL partition P=" + std::to_string(pcfg.parts);
+  result.run = detail::start_result(
+      "KNL partition P=" + std::to_string(pcfg.parts), pcfg.parts);
 
   const double bytes_per_sample =
       pcfg.paper_model.flops_per_sample / pcfg.arithmetic_intensity;
@@ -150,10 +92,6 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
                                pcfg.data_copy_bytes) /
       1.0e9;
 
-  const std::size_t layer_count = parts.nets[0]->arena().layer_count();
-  std::vector<std::span<const float>> grad_views;
-  std::vector<float> layer_sum;
-  const float inv_parts = 1.0f / static_cast<float>(pcfg.parts);
   const float lr_scale = pcfg.scale_lr_with_parts
                              ? static_cast<float>(pcfg.parts)
                              : 1.0f;
@@ -161,41 +99,20 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
   double vtime = 0.0;
   for (std::size_t round = 1; round <= pcfg.max_rounds; ++round) {
     // Divide: every partition computes a gradient on its own batch.
-    for (std::size_t j = 0; j < pcfg.parts; ++j) {
-      parts.samplers[j].next(parts.batch, parts.labels);
-      parts.nets[j]->zero_grads();
-      parts.nets[j]->forward_backward(parts.batch, parts.labels);
-    }
+    for (std::size_t j = 0; j < pcfg.parts; ++j) parts.compute_gradient(j);
     // Conquer: tree-sum the gradients; every partition gets the sum and
     // updates its own weight copy (§6.2) — copies stay bit-identical.
-    for (std::size_t l = 0; l < layer_count; ++l) {
-      const std::size_t n = parts.nets[0]->arena().layer_grads(l).size();
-      if (n == 0) continue;
-      grad_views.clear();
-      for (auto& net : parts.nets) {
-        grad_views.push_back(net->arena().layer_grads(l));
-      }
-      layer_sum.resize(n);
-      reduce_sum(grad_views, layer_sum);
-      scale(inv_parts, layer_sum);
-      for (auto& net : parts.nets) {
-        copy(layer_sum, net->arena().layer_grads(l));
-        sgd_step(net->arena().layer_params(l), net->arena().layer_grads(l),
-                 cfg.lr_at(round) * lr_scale);
-      }
-    }
+    detail::allreduce_mean_sgd(parts, cfg.lr_at(round) * lr_scale);
 
     vtime += result.round_seconds;
     result.run.ledger.charge_traced(Phase::kForwardBackward,
                                     result.round_seconds, vtime);
 
-    if (round % cfg.eval_every == 0 || round == pcfg.max_rounds) {
-      TracePoint p = eval.evaluate(parts.nets[0]->arena());
-      p.iteration = round;
-      p.vtime = vtime;
-      result.run.trace.push_back(p);
+    if (detail::probe_due(round, cfg.eval_every, pcfg.max_rounds)) {
+      detail::record_point(result.run, eval.evaluate(parts.nets[0]->arena()),
+                           round, vtime);
       result.rounds = round;
-      if (p.accuracy >= pcfg.target_accuracy) {
+      if (result.run.trace.back().accuracy >= pcfg.target_accuracy) {
         result.reached_target = true;
         result.seconds_to_target = vtime;
         break;
@@ -203,12 +120,7 @@ KnlPartitionResult run_knl_partition(const AlgoContext& ctx,
     }
   }
   if (!result.reached_target) result.seconds_to_target = vtime;
-  result.run.total_seconds = vtime;
-  result.run.iterations = result.rounds;
-  if (!result.run.trace.empty()) {
-    result.run.final_accuracy = result.run.trace.back().accuracy;
-    result.run.final_loss = result.run.trace.back().loss;
-  }
+  detail::finish(result.run, vtime, result.rounds, {});
   return result;
 }
 

@@ -7,79 +7,13 @@
 #include "comm/bucket.hpp"
 #include "core/easgd_rules.hpp"
 #include "core/evaluator.hpp"
-#include "data/sampler.hpp"
-#include "obs/metrics.hpp"
+#include "core/runner_support.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "tensor/ops.hpp"
 
 namespace ds {
 namespace {
-
-/// Wire accounting for the modeled (GpuSystem) methods: a collective over P
-/// participants delivers P-1 point-to-point messages per direction whatever
-/// the schedule (a binomial tree only shortens the critical path), and a
-/// per-layer layout splits each hop into one message per learnable tensor.
-void apply_modeled_wire(RunResult& res, double messages_per_iter,
-                        double bytes_per_iter) {
-  const double iters = static_cast<double>(res.iterations);
-  res.messages_sent = static_cast<std::uint64_t>(messages_per_iter * iters);
-  res.bytes_sent = static_cast<std::uint64_t>(bytes_per_iter * iters);
-  obs::metrics()
-      .counter(obs::names::kCommMessagesModeled)
-      .add(res.messages_sent);
-  obs::metrics().counter(obs::names::kCommBytesModeled).add(res.bytes_sent);
-}
-
-/// Worker replicas: one network + one batch sampler per simulated device,
-/// all initialised to the same weights ("copy W to W_j", Algorithm 1).
-struct WorkerSet {
-  std::vector<std::unique_ptr<Network>> nets;
-  std::vector<BatchSampler> samplers;
-  Tensor batch;
-  std::vector<std::int32_t> labels;
-};
-
-WorkerSet make_workers(const AlgoContext& ctx) {
-  WorkerSet w;
-  const TrainConfig& cfg = ctx.config;
-  DS_CHECK(cfg.workers > 0, "need at least one worker");
-  w.nets.reserve(cfg.workers);
-  w.samplers.reserve(cfg.workers);
-  for (std::size_t i = 0; i < cfg.workers; ++i) {
-    w.nets.push_back(ctx.factory());
-    if (i > 0) w.nets[i]->copy_params_from(*w.nets[0]);
-    w.samplers.emplace_back(*ctx.train, cfg.batch_size,
-                            cfg.seed * 7919 + i + 1);
-  }
-  return w;
-}
-
-/// One gradient step's worth of real math on worker j: sample, zero grads,
-/// forward+backward.
-void compute_gradient(WorkerSet& w, std::size_t j) {
-  w.samplers[j].next(w.batch, w.labels);
-  w.nets[j]->zero_grads();
-  w.nets[j]->forward_backward(w.batch, w.labels);
-}
-
-void record_point(RunResult& res, Evaluator& eval,
-                  std::span<const float> center, std::size_t iteration,
-                  double vtime) {
-  TracePoint p = eval.evaluate_packed(center);
-  p.iteration = iteration;
-  p.vtime = vtime;
-  res.trace.push_back(p);
-}
-
-void finish(RunResult& res, double vtime, std::size_t iterations) {
-  res.total_seconds = vtime;
-  res.iterations = iterations;
-  if (!res.trace.empty()) {
-    res.final_accuracy = res.trace.back().accuracy;
-    res.final_loss = res.trace.back().loss;
-  }
-}
 
 /// The sync family's reading of a FaultPlan: one straggler gates every
 /// round, and the earliest scheduled crash ends the run.
@@ -106,7 +40,7 @@ FaultView view_faults(const FaultPlan& faults, std::size_t workers) {
 
 /// True when round `t` (which would end at `end_of_round`) must abort:
 /// a worker dies mid-round, so the round's math never commits. Fills the
-/// abort fields; the caller records partial progress and returns.
+/// abort fields; the caller stops with t - 1 rounds completed.
 bool round_crashes(RunResult& res, const FaultView& v, double end_of_round,
                    std::size_t t) {
   if (!v.on || end_of_round < v.crash_horizon) return false;
@@ -117,6 +51,13 @@ bool round_crashes(RunResult& res, const FaultView& v, double end_of_round,
      << "; round aborted";
   res.abort_reason = os.str();
   return true;
+}
+
+/// An aborted run still reports its partial progress: the trace must end
+/// at the last completed round.
+bool missing_last_point(const RunResult& res, std::size_t done) {
+  return res.aborted &&
+         (res.trace.empty() || res.trace.back().iteration != done);
 }
 
 /// Modeled bucketed-exchange timeline inside one iteration (times relative
@@ -180,7 +121,7 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   // Modeled runs live on a single virtual timeline: rank 0.
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_original_easgd");
-  WorkerSet w = make_workers(ctx);
+  detail::ReplicaSet w(ctx, cfg.workers, cfg.seed * 7919 + 1);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   // Center weights live on the host (Algorithm 1 keeps W̄ CPU-side; the
@@ -190,9 +131,10 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
                             w.nets[0]->arena().full_params().end());
   std::vector<float> worker_snapshot(center.size());
 
-  RunResult res;
-  res.method = variant == OriginalVariant::kOverlapped ? "Original EASGD"
-                                                       : "Original EASGD*";
+  RunResult res = detail::start_result(
+      variant == OriginalVariant::kOverlapped ? "Original EASGD"
+                                              : "Original EASGD*",
+      cfg.workers);
 
   // The baseline predates the single-layer packing of §5.2: every weight
   // transfer is one message per learnable tensor.
@@ -203,11 +145,10 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   const double cup_s = hw.cpu_update_seconds();
 
   const FaultView fv = view_faults(faults, cfg.workers);
-  res.workers = cfg.workers;
-  res.workers_survived = cfg.workers;
 
   double vtime = 0.0;
-  for (std::size_t t = 1; t <= cfg.iterations; ++t) {
+  std::size_t t = 1;
+  for (; t <= cfg.iterations; ++t) {
     const std::size_t j = (t - 1) % cfg.workers;  // round-robin (§3.3)
 
     // --- virtual time (computed first so a crash aborts the round before
@@ -223,19 +164,9 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
         slow;
     const double iter_seconds =
         data_s * slow + param_s + fb_charged + gup_s * slow + cup_s;
-    if (round_crashes(res, fv, vtime + iter_seconds, t)) {
-      if (res.trace.empty() || res.trace.back().iteration != t - 1) {
-        record_point(res, eval, center, t - 1, vtime);
-      }
-      finish(res, vtime, t - 1);
-      apply_modeled_wire(res,
-                         2.0 * static_cast<double>(hw.model().comm_layers),
-                         2.0 * hw.model().weight_bytes);
-      res.final_params.assign(center.begin(), center.end());
-      return res;
-    }
+    if (round_crashes(res, fv, vtime + iter_seconds, t)) break;
 
-    compute_gradient(w, j);
+    w.compute_gradient(j);
     Network& net = *w.nets[j];
     const float lr = cfg.lr_at(t);
     // "CPU gets W_j from j-th GPU" (line 12): snapshot pre-update weights.
@@ -259,15 +190,18 @@ RunResult run_original_easgd(const AlgoContext& ctx, const GpuSystem& hw,
     res.ledger.charge_traced(Phase::kCpuUpdate, cup_s, tc);
     vtime += iter_seconds;
 
-    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-      record_point(res, eval, center, t, vtime);
+    if (detail::probe_due(t, cfg.eval_every, cfg.iterations)) {
+      detail::record_point(res, eval.evaluate_packed(center), t, vtime);
     }
   }
-  finish(res, vtime, cfg.iterations);
+  if (missing_last_point(res, t - 1)) {
+    detail::record_point(res, eval.evaluate_packed(center), t - 1, vtime);
+  }
+  detail::finish(res, vtime, t - 1, center);
   // Per-layer messages in both directions of the host hop, every iteration.
-  apply_modeled_wire(res, 2.0 * static_cast<double>(hw.model().comm_layers),
-                     2.0 * hw.model().weight_bytes);
-  res.final_params.assign(center.begin(), center.end());
+  detail::apply_modeled_wire(
+      res, 2.0 * static_cast<double>(hw.model().comm_layers),
+      2.0 * hw.model().weight_bytes);
   return res;
 }
 
@@ -276,19 +210,17 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_sync_easgd");
-  WorkerSet w = make_workers(ctx);
+  detail::ReplicaSet w(ctx, cfg.workers, cfg.seed * 7919 + 1);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
   std::vector<float> center(w.nets[0]->arena().full_params().begin(),
                             w.nets[0]->arena().full_params().end());
-  std::vector<float> sum_w(center.size());
 
-  RunResult res;
-  switch (variant) {
-    case SyncEasgdVariant::kEasgd1: res.method = "Sync EASGD1"; break;
-    case SyncEasgdVariant::kEasgd2: res.method = "Sync EASGD2"; break;
-    case SyncEasgdVariant::kEasgd3: res.method = "Sync EASGD3"; break;
-  }
+  RunResult res = detail::start_result(
+      variant == SyncEasgdVariant::kEasgd1   ? "Sync EASGD1"
+      : variant == SyncEasgdVariant::kEasgd2 ? "Sync EASGD2"
+                                             : "Sync EASGD3",
+      cfg.workers);
   const bool bucketed = cfg.bucketing.enabled();
   if (bucketed) res.method += " (bucketed)";
 
@@ -322,12 +254,7 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
   const Phase master_up_phase =
       device_master ? Phase::kGpuUpdate : Phase::kCpuUpdate;
 
-  std::vector<std::span<const float>> param_views;
-  param_views.reserve(cfg.workers);
-
   const FaultView fv = view_faults(faults, cfg.workers);
-  res.workers = cfg.workers;
-  res.workers_survived = cfg.workers;
 
   // Broadcast + reduce move ranks-1 messages each per iteration over the
   // collective group (host joins the group when it is the master).
@@ -370,32 +297,13 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
       2.0 * static_cast<double>(coll_ranks - 1) * hw.model().weight_bytes;
 
   double vtime = 0.0;
-  for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-    if (round_crashes(res, fv, vtime + iter_seconds, t)) {
-      if (res.trace.empty() || res.trace.back().iteration != t - 1) {
-        record_point(res, eval, center, t - 1, vtime);
-      }
-      finish(res, vtime, t - 1);
-      apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
-      res.final_params.assign(center.begin(), center.end());
-      return res;
-    }
-    // Step (1): every worker computes its sub-gradient in parallel.
-    for (std::size_t j = 0; j < cfg.workers; ++j) compute_gradient(w, j);
-
-    // Step (3): reduce Σ W_j^t (pre-update weights) to the master.
-    param_views.clear();
-    for (auto& net : w.nets) param_views.push_back(net->arena().full_params());
-    reduce_sum(param_views, sum_w);
-
-    // Step (4): Eq. (1) on every worker against the broadcast W̄_t.
-    const float lr = cfg.lr_at(t);
-    for (auto& net : w.nets) {
-      easgd_worker_step(net->arena().full_params(),
-                        net->arena().full_grads(), center, lr, cfg.rho);
-    }
-    // Step (5): Eq. (2) on the master.
-    easgd_center_step_sum(center, sum_w, cfg.workers, lr, cfg.rho);
+  std::size_t t = 1;
+  for (; t <= cfg.iterations; ++t) {
+    if (round_crashes(res, fv, vtime + iter_seconds, t)) break;
+    // Steps (1)–(5): every worker's sub-gradient, Σ W_j^t (pre-update
+    // weights) reduced to the master, Eq. (1) on every worker against the
+    // broadcast W̄_t, Eq. (2) on the master.
+    detail::sync_easgd_round(w, center, cfg.lr_at(t), cfg.rho);
 
     // --- virtual time ---------------------------------------------------
     double tc = vtime;
@@ -422,13 +330,15 @@ RunResult run_sync_easgd(const AlgoContext& ctx, const GpuSystem& hw,
     res.ledger.charge_traced(master_up_phase, master_up_s, tc);
     vtime += iter_seconds;
 
-    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-      record_point(res, eval, center, t, vtime);
+    if (detail::probe_due(t, cfg.eval_every, cfg.iterations)) {
+      detail::record_point(res, eval.evaluate_packed(center), t, vtime);
     }
   }
-  finish(res, vtime, cfg.iterations);
-  apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
-  res.final_params.assign(center.begin(), center.end());
+  if (missing_last_point(res, t - 1)) {
+    detail::record_point(res, eval.evaluate_packed(center), t - 1, vtime);
+  }
+  detail::finish(res, vtime, t - 1, center);
+  detail::apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
   return res;
 }
 
@@ -437,12 +347,13 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   const TrainConfig& cfg = ctx.config;
   const obs::RankScope obs_rank(0);
   DS_TRACE_SPAN("algo", "run_sync_sgd");
-  WorkerSet w = make_workers(ctx);
+  detail::ReplicaSet w(ctx, cfg.workers, cfg.seed * 7919 + 1);
   Evaluator eval(ctx.factory, *ctx.test, cfg.eval_samples);
 
-  RunResult res;
-  res.method = cfg.layout == MessageLayout::kPacked ? "Sync SGD (packed)"
-                                                    : "Sync SGD (per-layer)";
+  RunResult res = detail::start_result(cfg.layout == MessageLayout::kPacked
+                                           ? "Sync SGD (packed)"
+                                           : "Sync SGD (per-layer)",
+                                       cfg.workers);
   if (cfg.compression != GradCompression::kNone) {
     res.method += std::string(" + ") + compression_name(cfg.compression);
   }
@@ -456,7 +367,6 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
       2.0 * hw.p2p_collective_seconds(
                 cfg.reduce_algo, cfg.layout,
                 compression_bytes_factor(cfg.compression));
-  const float inv_workers = 1.0f / static_cast<float>(cfg.workers);
 
   // Gradient compression state: one stateful 1-bit codec per worker (the
   // error-feedback residual is worker-local, as in Seide et al.).
@@ -472,13 +382,7 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
   Int8Codec::Blob int8_blob;
   OneBitCodec::Blob onebit_blob;
 
-  const std::size_t layer_count = w.nets[0]->arena().layer_count();
-  std::vector<std::span<const float>> grad_views;
-  std::vector<float> layer_sum;
-
   const FaultView fv = view_faults(faults, cfg.workers);
-  res.workers = cfg.workers;
-  res.workers_survived = cfg.workers;
 
   // Bucketed pipeline (DESIGN.md §10): gradient buckets allreduce in
   // flight as backward retires them; only the comm tail past the backward
@@ -513,23 +417,10 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
       compression_bytes_factor(cfg.compression);
 
   double vtime = 0.0;
-  for (std::size_t t = 1; t <= cfg.iterations; ++t) {
-    if (round_crashes(res, fv, vtime + iter_seconds, t)) {
-      if (res.trace.empty() || res.trace.back().iteration != t - 1) {
-        TracePoint p = eval.evaluate(w.nets[0]->arena());
-        p.iteration = t - 1;
-        p.vtime = vtime;
-        res.trace.push_back(p);
-      }
-      finish(res, vtime, t - 1);
-      apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
-      if (w.nets[0]->arena().mode() == PackMode::kPacked) {
-        const auto params = w.nets[0]->arena().full_params();
-        res.final_params.assign(params.begin(), params.end());
-      }
-      return res;
-    }
-    for (std::size_t j = 0; j < cfg.workers; ++j) compute_gradient(w, j);
+  std::size_t t = 1;
+  for (; t <= cfg.iterations; ++t) {
+    if (round_crashes(res, fv, vtime + iter_seconds, t)) break;
+    for (std::size_t j = 0; j < cfg.workers; ++j) w.compute_gradient(j);
 
     // Lossy wire round-trip of each worker's gradient BEFORE the reduction:
     // the training math sees exactly what the compressed link delivers.
@@ -547,24 +438,8 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
       }
     }
 
-    // Gradient allreduce, layer-aware so per-layer arenas work too.
-    for (std::size_t l = 0; l < layer_count; ++l) {
-      const std::size_t n = w.nets[0]->arena().layer_grads(l).size();
-      if (n == 0) continue;
-      grad_views.clear();
-      for (auto& net : w.nets) grad_views.push_back(net->arena().layer_grads(l));
-      layer_sum.resize(n);
-      reduce_sum(grad_views, layer_sum);
-      scale(inv_workers, layer_sum);
-      for (auto& net : w.nets) copy(layer_sum, net->arena().layer_grads(l));
-    }
-    const float lr = cfg.lr_at(t);
-    for (auto& net : w.nets) {
-      for (std::size_t l = 0; l < layer_count; ++l) {
-        sgd_step(net->arena().layer_params(l), net->arena().layer_grads(l),
-                 lr);
-      }
-    }
+    // Gradient allreduce (mean) and the SGD step on every replica.
+    detail::allreduce_mean_sgd(w, cfg.lr_at(t));
 
     double tc = vtime;
     tc += data_s * fv.slow;
@@ -585,20 +460,21 @@ RunResult run_sync_sgd(const AlgoContext& ctx, const GpuSystem& hw,
     res.ledger.charge_traced(Phase::kGpuUpdate, gup_s * fv.slow, tc);
     vtime += iter_seconds;
 
-    if (t % cfg.eval_every == 0 || t == cfg.iterations) {
-      TracePoint p = eval.evaluate(w.nets[0]->arena());
-      p.iteration = t;
-      p.vtime = vtime;
-      res.trace.push_back(p);
+    if (detail::probe_due(t, cfg.eval_every, cfg.iterations)) {
+      detail::record_point(res, eval.evaluate(w.nets[0]->arena()), t, vtime);
     }
   }
-  finish(res, vtime, cfg.iterations);
-  apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
-  // Per-layer arenas have no packed view; leave final_params empty there.
-  if (w.nets[0]->arena().mode() == PackMode::kPacked) {
-    const auto params = w.nets[0]->arena().full_params();
-    res.final_params.assign(params.begin(), params.end());
+  if (missing_last_point(res, t - 1)) {
+    detail::record_point(res, eval.evaluate(w.nets[0]->arena()), t - 1,
+                         vtime);
   }
+  // Per-layer arenas have no packed view; leave final_params empty there.
+  const ParamArena& arena = w.nets[0]->arena();
+  detail::finish(res, vtime, t - 1,
+                 arena.mode() == PackMode::kPacked
+                     ? arena.full_params()
+                     : std::span<const float>());
+  detail::apply_modeled_wire(res, wire_msgs_per_iter, wire_bytes_per_iter);
   return res;
 }
 

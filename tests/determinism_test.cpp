@@ -124,6 +124,69 @@ TEST(Determinism, FabricParameterServerDeterministicWithOneWorker) {
   expect_identical(a, b);
 }
 
+TEST(Determinism, FabricCenterRunnersReplayTheirLedgerExactly) {
+  // Each rank charges its own ledger slot and the harness merges the slots
+  // in rank order after the join, so the per-phase seconds cannot depend
+  // on the order in which rank threads finish. Worker counts keep every
+  // run's schedule deterministic: the recv_any-served runners (parameter
+  // server, wait-free buckets) run one worker.
+  struct Case {
+    const char* name;
+    std::size_t workers;
+    std::size_t bucket_bytes;
+    BucketMode mode;
+    RunResult (*run)(const AlgoContext&, const FabricClusterConfig&);
+  };
+  const Case cases[] = {
+      {"parameter server", 1, 0, BucketMode::kDeterministic,
+       &run_fabric_async_easgd},
+      {"bucketed deterministic", 3, 2048, BucketMode::kDeterministic,
+       &run_fabric_bucketed_easgd},
+      {"bucketed wait-free", 1, 2048, BucketMode::kWaitFree,
+       &run_fabric_bucketed_easgd},
+      {"round-robin", 3, 0, BucketMode::kDeterministic,
+       &run_fabric_round_robin_easgd},
+      {"round-robin bucketed", 3, 2048, BucketMode::kDeterministic,
+       &run_fabric_round_robin_easgd},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f;
+    f.set_workers(c.workers);
+    f.ctx.config.bucketing.bucket_bytes = c.bucket_bytes;
+    f.ctx.config.bucketing.mode = c.mode;
+    const FabricClusterConfig cluster;
+    const RunResult a = c.run(f.ctx, cluster);
+    const RunResult b = c.run(f.ctx, cluster);
+    ASSERT_GT(a.ledger.total_seconds(), 0.0);
+    for (std::size_t i = 0; i < kPhaseCount; ++i) {
+      const Phase phase = static_cast<Phase>(i);
+      EXPECT_EQ(a.ledger.seconds(phase), b.ledger.seconds(phase))
+          << phase_name(phase);
+    }
+  }
+}
+
+TEST(Determinism, CrashedSpmdRunNamesTheSameAbortReason) {
+  // When one rank crashes, its peers fail too (kPeerGone). The abort
+  // reason is chosen after the join by a fixed rule — a rank's own crash
+  // before a peer's failure, then the lowest rank — not by which rank
+  // thread reported first.
+  Fixture f;
+  f.set_workers(4);
+  FabricClusterConfig cluster;
+  const double clean_seconds = run_fabric_easgd(f.ctx, cluster).total_seconds;
+  cluster.faults.with_crash(2, clean_seconds / 2.0);
+  const RunResult first = run_fabric_easgd(f.ctx, cluster);
+  ASSERT_TRUE(first.aborted);
+  EXPECT_NE(first.abort_reason.find("aborted at rank 2"), std::string::npos)
+      << first.abort_reason;
+  for (int i = 0; i < 9; ++i) {
+    EXPECT_EQ(run_fabric_easgd(f.ctx, cluster).abort_reason,
+              first.abort_reason);
+  }
+}
+
 // One virtual-time-stamped event: everything deterministic about it (the
 // wall stamp is deliberately excluded — real time differs run to run).
 struct VEvent {

@@ -112,10 +112,17 @@ TEST_F(ObsLedgerTest, SyncEasgd3RollupMatchesLedger) {
 
 TEST_F(ObsLedgerTest, ClusterSyncEasgdRollupMatchesLedger) {
   Fixture f;
+  f.ctx.config.workers = 4;
   const ClusterTiming timing;
   const RunResult r = run_cluster_sync_easgd(f.ctx, timing);
   ASSERT_GT(r.ledger.total_seconds(), 0.0);
   expect_rollup_matches(r.ledger);
+  // The schedule-level runner reports its workers and its final center
+  // like every other deterministic runner.
+  EXPECT_EQ(r.fault_summary().rfind("4/4 workers", 0), 0u)
+      << r.fault_summary();
+  const std::size_t param_count = f.ctx.factory()->param_count();
+  EXPECT_EQ(r.final_params.size(), param_count);
 }
 
 TEST_F(ObsLedgerTest, FabricEasgdRollupMatchesLedger) {
@@ -150,6 +157,41 @@ TEST_F(ObsLedgerTest, FabricAsyncEasgdRollupMatchesLedger) {
   ASSERT_GT(r.ledger.total_seconds(), 0.0);
   expect_rollup_matches(r.ledger);
   EXPECT_GT(r.messages_sent, 0u);
+}
+
+TEST_F(ObsLedgerTest, FabricCenterRunnersRollupMatchesLedger) {
+  // Every center-topology fabric runner charges each rank's own clock
+  // deltas and merges the rank ledgers after the join; the merged ledger
+  // must still equal the rollup of every rank's spans.
+  struct Case {
+    const char* name;
+    std::size_t bucket_bytes;
+    BucketMode mode;
+    RunResult (*run)(const AlgoContext&, const FabricClusterConfig&);
+  };
+  const Case cases[] = {
+      {"round-robin", 0, BucketMode::kDeterministic,
+       &run_fabric_round_robin_easgd},
+      {"round-robin bucketed", 2048, BucketMode::kDeterministic,
+       &run_fabric_round_robin_easgd},
+      {"bucketed deterministic", 2048, BucketMode::kDeterministic,
+       &run_fabric_bucketed_easgd},
+      {"bucketed wait-free", 2048, BucketMode::kWaitFree,
+       &run_fabric_bucketed_easgd},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    obs::set_tracing_enabled(false);
+    obs::reset();
+    obs::set_tracing_enabled(true);
+    Fixture f;
+    f.ctx.config.bucketing.bucket_bytes = c.bucket_bytes;
+    f.ctx.config.bucketing.mode = c.mode;
+    const RunResult r = c.run(f.ctx, FabricClusterConfig{});
+    ASSERT_GT(r.ledger.total_seconds(), 0.0);
+    expect_rollup_matches(r.ledger);
+    EXPECT_GT(r.messages_sent, 0u);
+  }
 }
 
 }  // namespace

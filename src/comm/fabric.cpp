@@ -424,6 +424,10 @@ bool Fabric::try_recv(std::size_t dst, std::size_t src, int tag,
 
 std::vector<float> Fabric::recv(std::size_t dst, std::size_t src, int tag) {
   DS_CHECK(src < ranks() && dst < ranks(), "recv rank out of range");
+  // A rank whose clock has crossed its crash time receives nothing more,
+  // whether or not the message is already queued (that is a wall-clock
+  // race; the crash point is in virtual time).
+  if (faults_on_) check_self_alive(dst);
   // Narrate the wait at POST time, unconditionally: whether the message has
   // physically arrived yet is a wall-clock race, and the traced virtual
   // event sequence must be schedule-independent (determinism_test).
@@ -478,7 +482,6 @@ std::vector<float> Fabric::recv(std::size_t dst, std::size_t src, int tag) {
                         describe(src, "peer gone with no matching message"));
     }
     lock.unlock();
-    check_self_alive(dst);
     if (polls >= faults_.max_recv_polls) {
       double timeout_at = 0.0;
       {
@@ -557,6 +560,7 @@ bool Fabric::pop_any(std::size_t dst, Mailbox& box, int tag, Message& out) {
 std::pair<std::size_t, std::vector<float>> Fabric::recv_any(std::size_t dst,
                                                             int tag) {
   DS_CHECK(dst < ranks(), "recv_any rank out of range");
+  if (faults_on_) check_self_alive(dst);  // as in recv()
   // Post-time narration, same determinism argument as recv().
   if (obs::tracing_enabled()) {
     obs::proto::emit_wait(static_cast<std::int64_t>(dst), clock(dst),
@@ -619,7 +623,6 @@ std::pair<std::size_t, std::vector<float>> Fabric::recv_any(std::size_t dst,
                         describe(dst, "no active senders remain"));
     }
     lock.unlock();
-    check_self_alive(dst);
     if (polls >= faults_.max_recv_polls) {
       double timeout_at = 0.0;
       {

@@ -91,8 +91,9 @@ class Fabric {
 
   /// Blocking receive matching (src, tag); advances the receiver's clock to
   /// the message arrival time. Under an active FaultPlan, throws
-  /// RankFailure(kPeerGone) when src is dead/retired with no matching
-  /// message pending, and RankFailure(kTimeout) — after charging
+  /// RankFailure(kCrashed) on entry when the receiver has crossed its
+  /// crash time, RankFailure(kPeerGone) when src is dead/retired with no
+  /// matching message pending, and RankFailure(kTimeout) — after charging
   /// recv_timeout virtual seconds — when the wait exhausts max_recv_polls.
   std::vector<float> recv(std::size_t dst, std::size_t src, int tag);
 

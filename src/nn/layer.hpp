@@ -40,7 +40,7 @@ class Layer {
   }
 
   /// Attach an arena-owned, grow-only kernel scratch buffer (blocked
-  /// activation layouts, Winograd tile buffers). Called by
+  /// activation layouts, rotated weights). Called by
   /// Network::finalize after bind(); layers that need scratch but were
   /// never offered any (standalone use, tests) fall back to a private
   /// buffer. Composite layers forward the same buffer to their inner

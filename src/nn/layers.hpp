@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "comm/quantize.hpp"
 #include "nn/layer.hpp"
 #include "support/aligned_buffer.hpp"
 #include "tensor/conv_algo.hpp"
@@ -86,16 +85,14 @@ class Dropout final : public Layer {
 
 /// 2-D convolution. Parameters are [out_c × in_c × k × k] filter weights
 /// followed by [out_c] biases. Each forward/backward dispatches over one of
-/// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering,
-/// register-blocked direct 3×3, Winograd F(2×2,3×3), or int8 quantized
-/// GEMM — resolved per call through layer algo → kernel_config().conv_algo
-/// → process default → shape heuristic, with im2col the universal
-/// fallback. All paths are bitwise-deterministic under gemm_threads > 1.
+/// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering or
+/// register-blocked direct 3×3 — resolved per call through
+/// kernel_config().conv_algo → shape heuristic, with im2col the universal
+/// fallback. Both paths are bitwise-deterministic under gemm_threads > 1.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
-         std::size_t stride = 1, std::size_t pad = 0,
-         ConvAlgo algo = ConvAlgo::kAuto);
+         std::size_t stride = 1, std::size_t pad = 0);
 
   std::string name() const override;
   Shape output_shape(const Shape& input) const override;
@@ -110,8 +107,6 @@ class Conv2D final : public Layer {
   std::size_t in_channels() const { return in_c_; }
   std::size_t out_channels() const { return out_c_; }
 
-  ConvAlgo algo() const { return algo_; }
-  void set_algo(ConvAlgo a) { algo_ = a; }
   /// The kernel a call with this input shape would run, after the full
   /// kAuto resolution chain (benches/tests label themselves with it).
   ConvAlgo resolved_algo(const Shape& input) const;
@@ -120,10 +115,8 @@ class Conv2D final : public Layer {
   ConvGeom geom_for(const Shape& input) const;
   AlignedBuffer& scratch() { return scratch_ ? *scratch_ : own_scratch_; }
 
-  void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y,
-                       bool quantized);
-  void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y,
-                      bool winograd);
+  void forward_lowered(const ConvGeom& g, const Tensor& x, Tensor& y);
+  void forward_direct(const ConvGeom& g, const Tensor& x, Tensor& y);
   void backward_direct(const ConvGeom& g, const Tensor& x, const Tensor& dy,
                        Tensor& dx);
   void backward_lowered(const ConvGeom& g, const Tensor& x, const Tensor& dy,
@@ -134,7 +127,6 @@ class Conv2D final : public Layer {
   std::size_t kernel_;
   std::size_t stride_;
   std::size_t pad_;
-  ConvAlgo algo_ = ConvAlgo::kAuto;
   // Grow-only scratch workspaces (see AlignedBuffer::ensure): the whole
   // batch is lowered into one [rows × batch·cols] column matrix so forward
   // and backward each run a single batched GEMM per layer instead of one
@@ -149,14 +141,11 @@ class Conv2D final : public Layer {
   ConvGeom col_geom_{};
   std::size_t col_batch_ = 0;
   bool col_valid_ = false;
-  // Arena-owned kernel scratch for the blocked/Winograd/rotated-weight
-  // buffers (falls back to a private buffer when the layer is used outside
-  // a finalized Network).
+  // Arena-owned kernel scratch for the blocked/rotated-weight buffers
+  // (falls back to a private buffer when the layer is used outside a
+  // finalized Network).
   AlignedBuffer* scratch_ = nullptr;
   AlignedBuffer own_scratch_;
-  // Int8 path: quantized weights / columns, reused across calls.
-  Int8Codec::Blob wq_blob_;
-  Int8Codec::Blob xq_blob_;
 };
 
 /// Max pooling over k×k windows; optional zero-area padding (padded taps are

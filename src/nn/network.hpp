@@ -42,8 +42,8 @@ class Network {
   /// Eval-mode forward (dropout off, no gradient side effects) with the
   /// batch geometry validated against the network's input shape, which
   /// plain forward() skips for speed. Coalescing B requests into one call
-  /// here is bitwise-identical to B batch-1 calls for every deterministic
-  /// ConvAlgo (pinned by tests/serve_parity_test.cpp).
+  /// here is bitwise-identical to B batch-1 calls for every ConvAlgo
+  /// (pinned by tests/serve_parity_test.cpp).
   const Tensor& infer(const Tensor& batch);
 
   /// Combined forward + loss + full backward. Gradients are ACCUMULATED

@@ -62,9 +62,9 @@ struct GemmEpilogue {
 /// only top-level callers (benches, single-process training) opt in.
 struct KernelConfig {
   std::size_t gemm_threads = 1;
-  /// Convolution kernel override for Conv2D layers whose own algo is kAuto
-  /// (benches and property tests flip this to pin a path). kAuto defers to
-  /// the process-wide default, then the shape heuristic — see conv_algo.hpp.
+  /// Convolution kernel override for every Conv2D call issued from this
+  /// thread (benches and property tests flip this to pin a path). kAuto
+  /// defers to the shape heuristic — see conv_algo.hpp.
   ConvAlgo conv_algo = ConvAlgo::kAuto;
 };
 

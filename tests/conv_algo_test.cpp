@@ -1,9 +1,8 @@
-// Property battery for the convolution dispatch layer: the direct 3×3 and
-// Winograd F(2×2,3×3) kernels against the im2col+GEMM reference over ragged
-// H/W, channel counts straddling the v16sf lane width, and pad-edge shapes;
-// bitwise parallel-vs-serial for every algorithm; the blocked-layout
-// transform round trip and its zero-fill contract; and the kAuto
-// resolution chain.
+// Property battery for the convolution dispatch layer: the direct 3×3
+// kernel against the im2col+GEMM reference over ragged H/W, channel counts
+// straddling the v16sf lane width, and pad-edge shapes; bitwise
+// parallel-vs-serial for both algorithms; the blocked-layout transform
+// round trip and its zero-fill contract; and the kAuto resolution.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -41,18 +40,30 @@ Tensor random_input(Rng& rng, std::size_t n, std::size_t c, std::size_t h,
   return t;
 }
 
-// A Conv2D pinned to `algo`, bound to its own storage and initialised
-// deterministically from `seed`.
+// A 3×3/s1/p1 Conv2D bound to its own storage and initialised
+// deterministically from `seed`, whose forward/backward run with the
+// thread's dispatch pinned to `algo`.
 struct BoundConv {
   explicit BoundConv(std::size_t in_c, std::size_t out_c, ConvAlgo algo,
                      std::uint64_t seed)
-      : conv(in_c, out_c, 3, 1, 1, algo),
+      : algo(algo),
+        conv(in_c, out_c, 3, 1, 1),
         params(conv.param_count()),
         grads(conv.param_count()) {
     conv.bind(std::span<float>(params), std::span<float>(grads));
     Rng rng(seed);
     conv.init_params(rng);
   }
+  void forward(const Tensor& x, Tensor& y) {
+    const AlgoGuard guard(algo);
+    conv.forward(x, y, true);
+  }
+  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
+                Tensor& dx) {
+    const AlgoGuard guard(algo);
+    conv.backward(x, y, dy, dx);
+  }
+  ConvAlgo algo;
   Conv2D conv;
   std::vector<float> params;
   std::vector<float> grads;
@@ -108,8 +119,8 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
   BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 42);
   BoundConv direct(cc.in_c, cc.out_c, ConvAlgo::kDirect, 42);
   Tensor y_ref, y_direct;
-  ref.conv.forward(x, y_ref, true);
-  direct.conv.forward(x, y_direct, true);
+  ref.forward(x, y_ref);
+  direct.forward(x, y_direct);
   expect_close(y_direct, y_ref, 1e-4, "direct forward");
 
   // Backward: same upstream gradient through both paths.
@@ -118,59 +129,16 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
   Tensor dx_ref, dx_direct;
-  ref.conv.backward(x, y_ref, dy, dx_ref);
-  direct.conv.backward(x, y_direct, dy, dx_direct);
+  ref.backward(x, y_ref, dy, dx_ref);
+  direct.backward(x, y_direct, dy, dx_direct);
   expect_close(dx_direct, dx_ref, 1e-4, "direct backward dX");
   expect_close_span(direct.grads, ref.grads, 1e-4, "direct dW/db");
-}
-
-TEST_P(ConvAlgoCaseTest, WinogradMatchesIm2col) {
-  const ConvCase& cc = kCases[GetParam()];
-  Rng rng(0x3176 + GetParam());
-  const Tensor x = random_input(rng, cc.batch, cc.in_c, cc.h, cc.w);
-  BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 7);
-  BoundConv wino(cc.in_c, cc.out_c, ConvAlgo::kWinograd, 7);
-  Tensor y_ref, y_wino;
-  ref.conv.forward(x, y_ref, true);
-  wino.conv.forward(x, y_wino, true);
-  expect_close(y_wino, y_ref, 1e-4, "winograd forward");
-}
-
-TEST_P(ConvAlgoCaseTest, Int8ForwardWithinQuantizationBound) {
-  const ConvCase& cc = kCases[GetParam()];
-  Rng rng(0x178 + GetParam());
-  const Tensor x = random_input(rng, cc.batch, cc.in_c, cc.h, cc.w);
-  BoundConv ref(cc.in_c, cc.out_c, ConvAlgo::kIm2col, 9);
-  BoundConv q(cc.in_c, cc.out_c, ConvAlgo::kInt8, 9);
-  Tensor y_ref, y_q;
-  ref.conv.forward(x, y_ref, true);
-  q.conv.forward(x, y_q, true);
-  // Per-output error bound: each of the k = C·9 products carries at most
-  // (step/2 · |b|max + step/2 · |a|max + step²/4) quantization error.
-  const std::size_t k = cc.in_c * 9;
-  double a_max = 0.0, w_max = 0.0;
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    a_max = std::max(a_max, static_cast<double>(std::fabs(x[i])));
-  }
-  for (std::size_t i = 0; i < q.params.size() - cc.out_c; ++i) {
-    w_max = std::max(w_max, static_cast<double>(std::fabs(q.params[i])));
-  }
-  const double step_a = 2.0 * a_max / 255.0;   // range ≤ [-a_max, a_max]
-  const double step_w = 2.0 * w_max / 255.0;
-  const double bound = static_cast<double>(k) *
-                       (0.5 * step_a * w_max + 0.5 * step_w * a_max +
-                        0.25 * step_a * step_w) +
-                       1e-4;
-  ASSERT_EQ(y_q.shape(), y_ref.shape());
-  for (std::size_t i = 0; i < y_q.numel(); ++i) {
-    ASSERT_NEAR(y_q[i], y_ref[i], bound) << "int8 forward at " << i;
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvAlgoCaseTest,
                          ::testing::Range<std::size_t>(0, std::size(kCases)));
 
-// Every algorithm must be bitwise identical under gemm_threads > 1 — the
+// Both algorithms must be bitwise identical under gemm_threads > 1 — the
 // contract that keeps the determinism/chaos batteries meaningful.
 class ConvAlgoDeterminismTest : public ::testing::TestWithParam<ConvAlgo> {};
 
@@ -182,19 +150,19 @@ TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
 
   BoundConv serial(17, 10, algo, 5);
   Tensor y_serial, dx_serial;
-  serial.conv.forward(x, y_serial, true);
+  serial.forward(x, y_serial);
   dy = Tensor(y_serial.shape());
   for (std::size_t i = 0; i < dy.numel(); ++i) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
-  serial.conv.backward(x, y_serial, dy, dx_serial);
+  serial.backward(x, y_serial, dy, dx_serial);
 
   for (const std::size_t threads : {2, 4, 7}) {
     ThreadsGuard guard(threads);
     BoundConv par(17, 10, algo, 5);
     Tensor y_par, dx_par;
-    par.conv.forward(x, y_par, true);
-    par.conv.backward(x, y_par, dy, dx_par);
+    par.forward(x, y_par);
+    par.backward(x, y_par, dy, dx_par);
     ASSERT_EQ(y_par.numel(), y_serial.numel());
     ASSERT_EQ(0, std::memcmp(y_par.data(), y_serial.data(),
                              y_serial.numel() * sizeof(float)))
@@ -210,9 +178,7 @@ TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Algos, ConvAlgoDeterminismTest,
                          ::testing::Values(ConvAlgo::kIm2col,
-                                           ConvAlgo::kDirect,
-                                           ConvAlgo::kWinograd,
-                                           ConvAlgo::kInt8),
+                                           ConvAlgo::kDirect),
                          [](const auto& info) {
                            return conv_algo_name(info.param);
                          });
@@ -263,13 +229,16 @@ TEST(BlockedLayoutTest, RoundTripAndZeroFill) {
 // ---------------------------------------------------------------------------
 
 TEST(ConvAlgoResolveTest, HeuristicAndFallbacks) {
-  ConvGeom g3;  // 3×3/s1/p1 — the direct/Winograd family
+  ConvGeom g3;  // 3×3/s1/p1 — the direct family
   g3.channels = 64;
   g3.height = 16;
   g3.width = 16;
   g3.kernel = 3;
   g3.stride = 1;
   g3.pad = 1;
+  ConvGeom g3_small = g3;  // 8×8 plane — im2col wins there
+  g3_small.height = 8;
+  g3_small.width = 8;
   ConvGeom g5 = g3;  // 5×5 — im2col only
   g5.kernel = 5;
   g5.pad = 2;
@@ -277,61 +246,55 @@ TEST(ConvAlgoResolveTest, HeuristicAndFallbacks) {
   EXPECT_TRUE(conv_algo_supported(ConvAlgo::kDirect, g3));
   EXPECT_FALSE(conv_algo_supported(ConvAlgo::kDirect, g5));
   EXPECT_TRUE(conv_algo_supported(ConvAlgo::kIm2col, g5));
-  EXPECT_TRUE(conv_algo_supported(ConvAlgo::kInt8, g5));
 
-  // The heuristic never volunteers the lossy kernel and falls back to
-  // im2col off-family.
-  EXPECT_EQ(choose_conv_algo(g5, 64), ConvAlgo::kIm2col);
-  EXPECT_NE(choose_conv_algo(g3, 64), ConvAlgo::kInt8);
-  EXPECT_NE(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kAuto);
+  // The heuristic: direct on the 3×3 family once the plane fills a lane,
+  // im2col on small planes and off-family.
+  EXPECT_EQ(choose_conv_algo(g3), ConvAlgo::kDirect);
+  EXPECT_EQ(choose_conv_algo(g3_small), ConvAlgo::kIm2col);
+  EXPECT_EQ(choose_conv_algo(g5), ConvAlgo::kIm2col);
+  EXPECT_EQ(resolve_conv_algo(g3), ConvAlgo::kDirect);
 
-  // Unsupported explicit picks fall back to im2col.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kWinograd, g5, 64),
-            ConvAlgo::kIm2col);
-
-  // Thread-local override beats the heuristic; process default beats the
-  // heuristic but loses to the thread-local knob.
+  // The thread-local override beats the heuristic in both directions, and
+  // an unsupported pick falls back to im2col.
   {
-    AlgoGuard guard(ConvAlgo::kDirect);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kDirect);
+    const AlgoGuard guard(ConvAlgo::kIm2col);
+    EXPECT_EQ(resolve_conv_algo(g3), ConvAlgo::kIm2col);
   }
-  set_process_conv_algo(ConvAlgo::kIm2col);
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64), ConvAlgo::kIm2col);
   {
-    AlgoGuard guard(ConvAlgo::kWinograd);
-    EXPECT_EQ(resolve_conv_algo(ConvAlgo::kAuto, g3, 64),
-              ConvAlgo::kWinograd);
+    const AlgoGuard guard(ConvAlgo::kDirect);
+    EXPECT_EQ(resolve_conv_algo(g3_small), ConvAlgo::kDirect);
+    EXPECT_EQ(resolve_conv_algo(g5), ConvAlgo::kIm2col);
   }
-  set_process_conv_algo(ConvAlgo::kAuto);
-  // Layer choice beats everything.
-  EXPECT_EQ(resolve_conv_algo(ConvAlgo::kInt8, g3, 64), ConvAlgo::kInt8);
+  EXPECT_EQ(resolve_conv_algo(g3_small), ConvAlgo::kIm2col);
 }
 
-// The im2col backward reuses the forward's column matrix; flipping the
-// kernel per call (auto → pinned im2col after a direct forward) must not
-// feed a stale lowering into the dW GEMM.
+// The im2col backward reuses the forward's column matrix. A direct forward
+// in between must invalidate it: flipping the kernel per call (im2col
+// forward on x2, direct forward on x1, then an im2col backward on x1) must
+// re-lower x1 instead of feeding x2's stale columns into the dW GEMM.
 TEST(ConvAlgoResolveTest, BackwardAfterAlgoFlipRecomputesColumns) {
   Rng rng(0xF11);
   const Tensor x1 = random_input(rng, 2, 6, 9, 9);
   const Tensor x2 = random_input(rng, 2, 6, 9, 9);
 
   BoundConv ref(6, 8, ConvAlgo::kIm2col, 3);
-  BoundConv flip(6, 8, ConvAlgo::kDirect, 3);
+  BoundConv flip(6, 8, ConvAlgo::kIm2col, 3);
   Tensor y_ref, y_flip, dx_ref, dx_flip;
 
-  // Prime flip's workspaces with a DIFFERENT input via the direct path,
-  // then flip to im2col for the real pass.
-  flip.conv.forward(x2, y_flip, true);
-  flip.conv.set_algo(ConvAlgo::kIm2col);
-  flip.conv.forward(x1, y_flip, true);
-  ref.conv.forward(x1, y_ref, true);
+  // Leave x2's lowering in flip's column workspace, then run the real
+  // forward through the direct kernel and flip back to im2col.
+  flip.forward(x2, y_flip);
+  flip.algo = ConvAlgo::kDirect;
+  flip.forward(x1, y_flip);
+  flip.algo = ConvAlgo::kIm2col;
+  ref.forward(x1, y_ref);
 
   Tensor dy(y_ref.shape());
   for (std::size_t i = 0; i < dy.numel(); ++i) {
     dy[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
   }
-  flip.conv.backward(x1, y_flip, dy, dx_flip);
-  ref.conv.backward(x1, y_ref, dy, dx_ref);
+  flip.backward(x1, y_flip, dy, dx_flip);
+  ref.backward(x1, y_ref, dy, dx_ref);
   ASSERT_EQ(0, std::memcmp(dx_flip.data(), dx_ref.data(),
                            dx_ref.numel() * sizeof(float)));
   ASSERT_EQ(0, std::memcmp(flip.grads.data(), ref.grads.data(),

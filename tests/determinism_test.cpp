@@ -167,23 +167,49 @@ TEST(Determinism, FabricCenterRunnersReplayTheirLedgerExactly) {
   }
 }
 
-TEST(Determinism, CrashedSpmdRunNamesTheSameAbortReason) {
+TEST(Determinism, CrashedRunsReplayBitwiseIdentically) {
   // When one rank crashes, its peers fail too (kPeerGone). The abort
   // reason is chosen after the join by a fixed rule — a rank's own crash
   // before a peer's failure, then the lowest rank — not by which rank
-  // thread reported first.
-  Fixture f;
-  f.set_workers(4);
-  FabricClusterConfig cluster;
-  const double clean_seconds = run_fabric_easgd(f.ctx, cluster).total_seconds;
-  cluster.faults.with_crash(2, clean_seconds / 2.0);
-  const RunResult first = run_fabric_easgd(f.ctx, cluster);
-  ASSERT_TRUE(first.aborted);
-  EXPECT_NE(first.abort_reason.find("aborted at rank 2"), std::string::npos)
-      << first.abort_reason;
-  for (int i = 0; i < 9; ++i) {
-    EXPECT_EQ(run_fabric_easgd(f.ctx, cluster).abort_reason,
-              first.abort_reason);
+  // thread reported first. A crashed center stops at its first receive
+  // past the crash time, whether or not the next worker message has
+  // already been queued (which depends on real time): the round-robin
+  // master blocks in recv(), the parameter server in recv_any().
+  struct Case {
+    const char* name;
+    std::size_t workers;
+    std::size_t crash_rank;
+    const char* reason;  // what the abort reason must name
+    RunResult (*run)(const AlgoContext&, const FabricClusterConfig&);
+  };
+  const Case cases[] = {
+      {"SPMD", 4, 2, "aborted at rank 2", &run_fabric_easgd},
+      {"round-robin master", 3, 0, "aborted at master",
+       &run_fabric_round_robin_easgd},
+      {"parameter server", 1, 0, "interaction budget cut",
+       &run_fabric_async_easgd},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Fixture f;
+    f.set_workers(c.workers);
+    FabricClusterConfig cluster;
+    const double clean_seconds = c.run(f.ctx, cluster).total_seconds;
+    cluster.faults.with_crash(c.crash_rank, clean_seconds / 2.0);
+    const RunResult first = c.run(f.ctx, cluster);
+    ASSERT_TRUE(first.aborted);
+    EXPECT_NE(first.abort_reason.find(c.reason), std::string::npos)
+        << first.abort_reason;
+    for (int i = 0; i < 9; ++i) {
+      const RunResult again = c.run(f.ctx, cluster);
+      expect_identical(first, again);
+      EXPECT_EQ(again.abort_reason, first.abort_reason);
+      for (std::size_t p = 0; p < kPhaseCount; ++p) {
+        const Phase phase = static_cast<Phase>(p);
+        EXPECT_EQ(again.ledger.seconds(phase), first.ledger.seconds(phase))
+            << phase_name(phase);
+      }
+    }
   }
 }
 

@@ -212,6 +212,51 @@ void BM_ConvForwardDeep(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvForwardDeep);
 
+// Non-GEMM layers, forward + backward, at AlexNet-S's LRN/first-pool shape
+// (batch 16, 16 channels on 32×32, default LRN window 5). Max pooling over
+// 2×2/s2 windows also runs at LeNet-S's batch-8 serving shape (range:
+// batch, channels, side).
+void BM_LrnForwardBackward(benchmark::State& state) {
+  ds::LocalResponseNorm lrn;
+  ds::Tensor x({16, 16, 32, 32});
+  ds::Rng rng(2);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  ds::Tensor y, dx;
+  ds::Tensor dy(x.shape());
+  dy.fill(0.01f);
+  for (auto _ : state) {
+    lrn.forward(x, y, true);
+    lrn.backward(x, y, dy, dx);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LrnForwardBackward);
+
+void BM_MaxPool2x2(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const auto channels = static_cast<std::size_t>(state.range(1));
+  const auto side = static_cast<std::size_t>(state.range(2));
+  ds::MaxPool2D pool(2, 2);
+  ds::Tensor x({batch, channels, side, side});
+  ds::Rng rng(2);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform(-1, 1));
+  }
+  ds::Tensor y, dx;
+  ds::Tensor dy(pool.output_shape(x.shape()));
+  dy.fill(0.01f);
+  for (auto _ : state) {
+    pool.forward(x, y, true);
+    pool.backward(x, y, dy, dx);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MaxPool2x2)->Args({16, 16, 32})->Args({8, 6, 24});
+
 // ------------------------- Convolution algorithms ---------------------------
 
 // Forward throughput per ConvAlgo on an AlexNet-class 3×3/s1/p1 layer

@@ -200,11 +200,19 @@ class LocalResponseNorm final : public Layer {
   double flops_per_sample(const Shape& input) const override;
 
  private:
+  void pow_neg_beta(const float* s, float* p, std::size_t n) const;
+
   std::size_t size_;
   double alpha_;
   double beta_;
   double k_;
+  // std::pow(s, -β) for the floats s just above k (see lrn.cpp); built once
+  // per instance and never written again, so concurrent replicas share no
+  // mutable state.
+  const std::vector<float> pow_memo_;
   std::vector<float> scale_;  // (k + α/n Σ x²) per element, from forward
+  // Backward scratch: a ring of dy·y/s rows for one window, then one s^-β row.
+  std::vector<float> ratio_;
 };
 
 /// Dense layer: y = x·Wᵀ + b. Parameters are [out × in] weights then [out]

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+
 #include "nn/layers.hpp"
 #include "test_util.hpp"
 
@@ -10,6 +16,13 @@ using ::ds::testing::fill_random;
 using ::ds::testing::grad_check_layer;
 
 constexpr double kTol = 5e-2;  // relative tolerance for fp32 central diffs
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
 
 // ----------------------------- Activations ----------------------------------
 
@@ -265,6 +278,86 @@ TEST(MaxPoolLayer, PaddedGradCheck) {
   EXPECT_LT(r.max_rel_error, kTol);
 }
 
+// The generic bounds-checked window loop, kept as the bitwise reference for
+// the layer's unpadded 2×2/s2 path; backward routes dy through its argmax.
+void reference_maxpool(std::size_t kernel, std::size_t stride,
+                       std::size_t pad, const Tensor& x, const Tensor& dy,
+                       Tensor& y, Tensor& dx) {
+  const std::size_t planes = x.dim(0) * x.dim(1);
+  const std::size_t h = x.dim(2), w = x.dim(3);
+  const std::size_t ho = (h + 2 * pad - kernel) / stride + 1;
+  const std::size_t wo = (w + 2 * pad - kernel) / stride + 1;
+  y = Tensor({x.dim(0), x.dim(1), ho, wo});
+  std::vector<std::size_t> argmax(y.numel());
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* xp = x.data() + p * h * w;
+    float* yp = y.data() + p * ho * wo;
+    std::size_t* ap = argmax.data() + p * ho * wo;
+    for (std::size_t oh = 0; oh < ho; ++oh) {
+      for (std::size_t ow = 0; ow < wo; ++ow) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::size_t best_idx = 0;
+        for (std::size_t kh = 0; kh < kernel; ++kh) {
+          const long ih = static_cast<long>(oh * stride + kh) -
+                          static_cast<long>(pad);
+          if (ih < 0 || ih >= static_cast<long>(h)) continue;
+          for (std::size_t kw = 0; kw < kernel; ++kw) {
+            const long iw = static_cast<long>(ow * stride + kw) -
+                            static_cast<long>(pad);
+            if (iw < 0 || iw >= static_cast<long>(w)) continue;
+            const std::size_t idx =
+                static_cast<std::size_t>(ih) * w + static_cast<std::size_t>(iw);
+            if (xp[idx] > best) {
+              best = xp[idx];
+              best_idx = idx;
+            }
+          }
+        }
+        yp[oh * wo + ow] = best;
+        ap[oh * wo + ow] = p * h * w + best_idx;
+      }
+    }
+  }
+  dx = Tensor(x.shape());
+  dx.zero();
+  for (std::size_t i = 0; i < argmax.size(); ++i) dx[argmax[i]] += dy[i];
+}
+
+TEST(MaxPoolLayer, TwoByTwoPathIsBitwiseGenericLoop) {
+  Rng rng(11);
+  for (const auto& [h, w] : {std::pair<std::size_t, std::size_t>{4, 4},
+                             {7, 5}, {2, 9}, {24, 24}}) {
+    Tensor x({2, 3, h, w});
+    // Values from {-2, …, 2} so most windows hold tied maxima.
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      x[i] = static_cast<float>(static_cast<int>(rng.below(5)) - 2);
+    }
+    x[1] = kNaN;  // one NaN tap among finite ones
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < 2; ++j) x[i * w + 2 + j] = kNaN;
+    }  // the all-NaN window (0, 1)
+    x[x.numel() - 1] = -kInf;
+    x[x.numel() / 2] = kInf;
+    MaxPool2D pool(2, 2);
+    Tensor y, dx, ref_y, ref_dx;
+    Tensor dy(pool.output_shape(x.shape()));
+    // Distinct gradients expose the argmax routing in dx; -0.0f ones must
+    // still land as +0 (0 + -0).
+    for (std::size_t i = 0; i < dy.numel(); ++i) {
+      dy[i] = i % 4 == 0 ? -0.0f : static_cast<float>(i + 1);
+    }
+    pool.forward(x, y, true);
+    pool.backward(x, y, dy, dx);
+    reference_maxpool(2, 2, 0, x, dy, ref_y, ref_dx);
+    EXPECT_TRUE(same_bits(y, ref_y)) << h << "x" << w;
+    EXPECT_TRUE(same_bits(dx, ref_dx)) << h << "x" << w;
+    EXPECT_TRUE(std::isinf(y[1]) && y[1] < 0) << "all-NaN window -> -inf";
+    for (std::size_t i = 0; i < dx.numel(); ++i) {
+      ASSERT_FALSE(std::signbit(dx[i])) << "-0 gradient must land as +0";
+    }
+  }
+}
+
 TEST(MaxPoolLayer, PaddedOutputShapePreserved) {
   MaxPool2D pool(3, 1, 1);
   EXPECT_EQ(pool.output_shape(Shape{1, 4, 8, 8}), Shape({1, 4, 8, 8}));
@@ -448,6 +541,156 @@ TEST(LrnLayer, GradCheckWideWindow) {
 
 TEST(LrnLayer, RejectsEvenWindow) {
   EXPECT_THROW(LocalResponseNorm(4), Error);
+}
+
+TEST(LrnLayer, RejectsNonPositiveK) {
+  EXPECT_THROW(LocalResponseNorm(5, 1e-4, 0.75, 0.0), Error);
+  EXPECT_THROW(LocalResponseNorm(5, 1e-4, 0.75, -1.0), Error);
+  EXPECT_THROW(LocalResponseNorm(5, 1e-4, 0.75, std::nan("")), Error);
+}
+
+TEST(LrnLayer, RejectsNegativeAlpha) {
+  EXPECT_THROW(LocalResponseNorm(5, -1e-4), Error);
+  EXPECT_THROW(LocalResponseNorm(5, std::nan("")), Error);
+}
+
+TEST(LrnLayer, RejectsNonFiniteBeta) {
+  EXPECT_THROW(LocalResponseNorm(5, 1e-4, std::nan("")), Error);
+  EXPECT_THROW(LocalResponseNorm(5, 1e-4, kInf), Error);
+}
+
+// The per-element scalar LRN loops the layer's row-vectorised, pow-memoised
+// passes replaced, kept verbatim as the bitwise reference.
+struct ReferenceLrn {
+  std::size_t size_;
+  double alpha_, beta_, k_;
+  std::vector<float> scale_;
+
+  void forward(const Tensor& x, Tensor& y) {
+    y = Tensor(x.shape());
+    const std::size_t batch = x.dim(0), channels = x.dim(1);
+    const std::size_t hw = x.dim(2) * x.dim(3);
+    scale_.resize(x.numel());
+    const long half = static_cast<long>(size_ / 2);
+    const float coeff =
+        static_cast<float>(alpha_ / static_cast<double>(size_));
+    for (std::size_t n = 0; n < batch; ++n) {
+      const float* xn = x.data() + n * channels * hw;
+      float* yn = y.data() + n * channels * hw;
+      float* sn = scale_.data() + n * channels * hw;
+      for (std::size_t c = 0; c < channels; ++c) {
+        const long lo = std::max<long>(0, static_cast<long>(c) - half);
+        const long hi = std::min<long>(static_cast<long>(channels) - 1,
+                                       static_cast<long>(c) + half);
+        for (std::size_t i = 0; i < hw; ++i) {
+          float sumsq = 0.0f;
+          for (long cc = lo; cc <= hi; ++cc) {
+            const float v = xn[static_cast<std::size_t>(cc) * hw + i];
+            sumsq += v * v;
+          }
+          const float s = static_cast<float>(k_) + coeff * sumsq;
+          sn[c * hw + i] = s;
+          yn[c * hw + i] =
+              xn[c * hw + i] * std::pow(s, static_cast<float>(-beta_));
+        }
+      }
+    }
+  }
+
+  void backward(const Tensor& x, const Tensor& y, const Tensor& dy,
+                Tensor& dx) {
+    dx = Tensor(x.shape());
+    const std::size_t batch = x.dim(0), channels = x.dim(1);
+    const std::size_t hw = x.dim(2) * x.dim(3);
+    const long half = static_cast<long>(size_ / 2);
+    const float coeff =
+        static_cast<float>(alpha_ / static_cast<double>(size_));
+    const float b = static_cast<float>(beta_);
+    for (std::size_t n = 0; n < batch; ++n) {
+      const std::size_t base = n * channels * hw;
+      const float* xn = x.data() + base;
+      const float* yn = y.data() + base;
+      const float* gn = dy.data() + base;
+      const float* sn = scale_.data() + base;
+      float* on = dx.data() + base;
+      for (std::size_t c = 0; c < channels; ++c) {
+        const long lo = std::max<long>(0, static_cast<long>(c) - half);
+        const long hi = std::min<long>(static_cast<long>(channels) - 1,
+                                       static_cast<long>(c) + half);
+        for (std::size_t i = 0; i < hw; ++i) {
+          const std::size_t idx = c * hw + i;
+          float cross = 0.0f;
+          for (long cc = lo; cc <= hi; ++cc) {
+            const std::size_t j = static_cast<std::size_t>(cc) * hw + i;
+            cross += gn[j] * yn[j] / sn[j];
+          }
+          on[idx] = gn[idx] * std::pow(sn[idx], -b) -
+                    2.0f * coeff * b * xn[idx] * cross;
+        }
+      }
+    }
+  }
+};
+
+struct LrnParams {
+  double alpha, beta, k;
+};
+
+// Forward then backward through the layer and the reference on the same
+// input; y and dx must agree bit for bit.
+void expect_lrn_matches_reference(std::size_t size, const LrnParams& p,
+                                  const Tensor& x, const Tensor& dy) {
+  LocalResponseNorm lrn(size, p.alpha, p.beta, p.k);
+  ReferenceLrn ref{size, p.alpha, p.beta, p.k, {}};
+  Tensor y, dx, ref_y, ref_dx;
+  lrn.forward(x, y, true);
+  lrn.backward(x, y, dy, dx);
+  ref.forward(x, ref_y);
+  ref.backward(x, ref_y, dy, ref_dx);
+  EXPECT_TRUE(same_bits(y, ref_y))
+      << "forward n=" << size << " C=" << x.dim(1) << " a=" << p.alpha
+      << " b=" << p.beta << " k=" << p.k;
+  EXPECT_TRUE(same_bits(dx, ref_dx))
+      << "backward n=" << size << " C=" << x.dim(1) << " a=" << p.alpha
+      << " b=" << p.beta << " k=" << p.k;
+}
+
+TEST(LrnLayer, BitwiseMatchesScalarReference) {
+  const LrnParams params[] = {{1e-4, 0.75, 2.0},  // AlexNet's default
+                              {0.5, 0.75, 2.0},
+                              {0.0, 0.75, 1.0},   // α = 0: s is exactly k
+                              {1e-3, 0.6, 1.7}};  // k not a power of two
+  Rng rng(5);
+  for (const std::size_t size : {1u, 3u, 5u, 7u}) {
+    for (const std::size_t channels : {1u, 2u, 16u}) {
+      // 5×7 planes: the row loops run vector bodies and scalar tails.
+      Tensor x({2, channels, 5, 7}), dy({2, channels, 5, 7});
+      for (const double scale : {1.0, 100.0}) {  // ×100 leaves the memo
+        fill_random(x, rng, scale);
+        fill_random(dy, rng, 1.0);
+        for (const LrnParams& p : params) {
+          expect_lrn_matches_reference(size, p, x, dy);
+        }
+      }
+    }
+  }
+}
+
+TEST(LrnLayer, BitwiseMatchesScalarReferenceOnNonFinite) {
+  Rng rng(6);
+  Tensor x({2, 16, 4, 5}), dy({2, 16, 4, 5});
+  fill_random(x, rng, 2.0);
+  fill_random(dy, rng, 1.0);
+  x[3] = kInf;
+  x[101] = -kInf;
+  x[250] = kNaN;
+  x[x.numel() - 1] = kNaN;
+  dy[7] = kInf;
+  dy[400] = kNaN;
+  for (const std::size_t size : {1u, 5u}) {
+    expect_lrn_matches_reference(size, {1e-4, 0.75, 2.0}, x, dy);
+    expect_lrn_matches_reference(size, {0.5, 0.6, 1.7}, x, dy);
+  }
 }
 
 // ------------------------------ Inception -----------------------------------

@@ -44,26 +44,6 @@ void BM_GemmNN(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNN)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_GemmNNThreaded(benchmark::State& state) {
-  // The opt-in deterministic threaded path (bitwise identical to serial).
-  const std::size_t n = 256;
-  ds::kernel_config().gemm_threads = static_cast<std::size_t>(state.range(0));
-  ds::Rng rng(1);
-  std::vector<float> a(n * n), b(n * n), c(n * n);
-  fill(a, rng);
-  fill(b, rng);
-  for (auto _ : state) {
-    ds::gemm(ds::Transpose::kNo, ds::Transpose::kNo, n, n, n, 1.0f, a.data(),
-             b.data(), 0.0f, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  ds::kernel_config().gemm_threads = 1;
-  set_gflops(state, ds::gemm_flops(n, n, n));
-}
-// Real time, not CPU time: the calling thread sleeps in wait_idle while the
-// pool computes, so the CPU-time rate would be wildly inflated.
-BENCHMARK(BM_GemmNNThreaded)->Arg(2)->Arg(4)->UseRealTime();
-
 void BM_GemmConvShape(benchmark::State& state) {
   // The LeNet conv2 shape: [12 x 150] · [150 x 64] per image.
   ds::Rng rng(1);

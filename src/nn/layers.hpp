@@ -88,7 +88,7 @@ class Dropout final : public Layer {
 /// the ConvAlgo kernels (tensor/conv_algo.hpp): im2col+GEMM lowering or
 /// register-blocked direct 3×3 — resolved per call through
 /// kernel_config().conv_algo → shape heuristic, with im2col the universal
-/// fallback. Both paths are bitwise-deterministic under gemm_threads > 1.
+/// fallback. Both paths are serial and bitwise-deterministic.
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,

@@ -200,9 +200,6 @@ inline constexpr const char* kFabricRecvWaitSeconds =
 inline constexpr const char* kFabricMessageBytes = "fabric.message_bytes";
 inline constexpr const char* kCommMessagesModeled = "comm.messages_modeled";
 inline constexpr const char* kCommBytesModeled = "comm.bytes_modeled";
-inline constexpr const char* kPoolTasks = "pool.tasks";
-inline constexpr const char* kPoolQueueDepth = "pool.queue_depth";
-inline constexpr const char* kPoolTaskWaitSeconds = "pool.task_wait_seconds";
 inline constexpr const char* kGemmCalls = "gemm.calls";
 inline constexpr const char* kGemmFlops = "gemm.flops";
 // Convolution dispatch: total calls/flops plus a per-kernel call counter,

@@ -170,8 +170,8 @@ struct MonitorConfig {
   /// Arm the dump trigger on any detector alert.
   bool dump_on_alert = false;
   /// Registry-name prefixes captured into the bundle's "metrics" section at
-  /// finalize. Wall-clock instruments (pool.task_wait_seconds) are excluded
-  /// by default so the bundle stays byte-deterministic.
+  /// finalize. The defaults name only count and virtual-time instruments, so
+  /// the bundle stays byte-deterministic.
   std::vector<std::string> metric_prefixes = {"fabric.", "comm.", "serve.",
                                               "monitor."};
   /// Exact names dropped from the capture even when a prefix matches. The

@@ -12,9 +12,9 @@
 //
 // kAuto resolves through the calling thread's kernel_config().conv_algo
 // (benches and property tests pin a kernel there), then the shape
-// heuristic choose_conv_algo(). Both kernels are bitwise-deterministic
-// under kernel_config().gemm_threads > 1, like the packed GEMM (DESIGN.md
-// §7): parallel partitions never change any output's reduction order.
+// heuristic choose_conv_algo(). Both kernels are serial with a fixed
+// reduction order per output, like the packed GEMM (DESIGN.md §7), so every
+// caller thread gets the same bits.
 #pragma once
 
 namespace ds {

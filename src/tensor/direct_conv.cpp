@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "support/error.hpp"
 #include "tensor/gemm.hpp"
-#include "tensor/kernel_pool.hpp"
 
 namespace ds {
 namespace {
@@ -32,7 +32,7 @@ inline void store_row(float* dst, const v16sf& acc, float bias,
 }
 
 // Fixed-order horizontal sum: lane 0 → 15, sequential adds. Part of the
-// determinism contract — the same order no matter how filters are sharded.
+// determinism contract.
 inline float hsum_ordered(const v16sf& v) {
   alignas(64) float tmp[kConvLanes];
   *reinterpret_cast<v16sf*>(tmp) = v;
@@ -53,8 +53,11 @@ void direct_conv3x3_forward(const BlockedLayout& in, std::size_t batch,
   const std::size_t plane = in.plane_floats();
   const std::size_t img = in.image_floats();
   const std::size_t out_plane = H * W;  // 3×3/s1/p1 preserves the spatial dims
+  DS_CHECK(kernel_config().gemm_threads == 1,
+           "direct conv: gemm_threads must be 1, got "
+               << kernel_config().gemm_threads);
 
-  const auto run_image = [&](std::size_t n) {
+  for (std::size_t n = 0; n < batch; ++n) {
     const float* xi = x_blocked + n * img;
     float* yi = y + n * filters * out_plane;
     std::size_t f0 = 0;
@@ -117,11 +120,7 @@ void direct_conv3x3_forward(const BlockedLayout& in, std::size_t batch,
         }
       }
     }
-  };
-  // Whole images per task: every output element is produced by exactly one
-  // task with the serial c→kh→kw reduction order, so any thread count is
-  // bitwise identical to serial.
-  kernel_parallel_for(batch, kernel_config().gemm_threads, run_image);
+  }
 }
 
 void direct_conv3x3_backward_weights(const BlockedLayout& in,
@@ -138,8 +137,11 @@ void direct_conv3x3_backward_weights(const BlockedLayout& in,
   const std::size_t img = in.image_floats();
   // dY shares the layout geometry (same H/W/pad), just `filters` channels.
   const std::size_t dimg = filters * plane;
+  DS_CHECK(kernel_config().gemm_threads == 1,
+           "direct conv: gemm_threads must be 1, got "
+               << kernel_config().gemm_threads);
 
-  const auto run_filter = [&](std::size_t f) {
+  for (std::size_t f = 0; f < filters; ++f) {
     // db[f] = Σ dY[n][f]: lane-wise vector accumulation over every row of
     // every image (slack lanes are zero), one ordered horizontal sum.
     v16sf bacc{};
@@ -182,10 +184,7 @@ void direct_conv3x3_backward_weights(const BlockedLayout& in,
         }
       }
     }
-  };
-  // Whole filters per task: each dW[f]/db[f] is reduced n-ascending by one
-  // task — bitwise identical to serial at any thread count.
-  kernel_parallel_for(filters, kernel_config().gemm_threads, run_filter);
+  }
 }
 
 void rotate_conv3x3_weights(std::size_t filters, std::size_t channels,

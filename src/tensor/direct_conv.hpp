@@ -19,11 +19,9 @@
 //     instead of branching), one horizontal sum per plane.
 //
 // Determinism contract: every output element is reduced in a fixed serial
-// order (c→kh→kw for outputs, n→rows→lanes for weight gradients), and the
-// threaded path (kernel_config().gemm_threads > 1) only ever partitions
-// whole outputs — images for forward/data, filter channels for weights —
-// so results are bitwise identical to serial at any thread count, matching
-// the packed GEMM's contract (DESIGN.md §7).
+// order (c→kh→kw for outputs, n→rows→lanes for weight gradients). The
+// kernels are serial and keep no shared state, so concurrent callers on
+// different threads get the same bits as one caller (DESIGN.md §7).
 #pragma once
 
 #include <cstddef>

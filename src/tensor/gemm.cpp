@@ -2,17 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <memory>
-
-#include "support/thread_annotations.hpp"
-
-#include "tensor/kernel_pool.hpp"
 
 #include "obs/metrics.hpp"
 #include "support/aligned_buffer.hpp"
 #include "support/error.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ds {
 namespace {
@@ -32,8 +25,9 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
 }
 
 // Per-thread packing workspaces, grown monotonically and reused across every
-// gemm call issued from (or sharded onto) this thread: no allocation on the
-// hot path once the largest shape has been seen.
+// gemm call issued from this thread: no allocation on the hot path once the
+// largest shape has been seen. Thread-local, so concurrent callers (one per
+// fabric rank) never share a panel.
 struct PackWorkspace {
   AlignedBuffer a;  // kGemmMC × kGemmKC panel of op(A), alpha pre-applied
   AlignedBuffer b;  // kGemmKC × kGemmNC panel of op(B)
@@ -42,23 +36,6 @@ struct PackWorkspace {
 PackWorkspace& pack_workspace() {
   static thread_local PackWorkspace ws;
   return ws;
-}
-
-// The shared compute pool behind the opt-in threaded path. Concurrent
-// threaded gemms serialize on this mutex (each still runs parallel inside);
-// serial gemms — the fabric-worker default — never touch it.
-Mutex& compute_pool_mutex() {
-  static Mutex m;
-  return m;
-}
-
-ThreadPool& compute_pool(std::size_t threads)
-    DS_REQUIRES(compute_pool_mutex()) {
-  static std::unique_ptr<ThreadPool> pool;
-  if (!pool || pool->size() < threads) {
-    pool = std::make_unique<ThreadPool>(threads);
-  }
-  return *pool;
 }
 
 // Pack op(A)[ic:ic+mc, pc:pc+kc] into kGemmMR-row panels, column-major
@@ -200,18 +177,16 @@ void micro_kernel(std::size_t kc, const float* ap, const float* bp, float* c,
   }
 }
 
-// Macro-kernel: sweep the micro-tile grid of one packed A block against a
-// slice [jr_begin, jr_end) of the packed B panels. Each C tile is touched by
-// exactly one invocation per k-block, and its k-reduction order is fixed by
-// the pc loop in the driver — which is what makes the threaded partition
-// bitwise identical to the serial kernel.
+// Macro-kernel: sweep the micro-tile grid of one packed A block against
+// every packed B panel. Each C tile is touched once per k-block, and its
+// k-reduction order is fixed by the pc loop in gemm_impl.
 void macro_kernel(std::size_t mc, std::size_t nc, std::size_t kc,
-                  const float* apack, const float* bpack,
-                  std::size_t jr_begin, std::size_t jr_end, float* c,
+                  const float* apack, const float* bpack, float* c,
                   std::size_t ldc, std::size_t ic, std::size_t jc,
                   const TileCtx& ctx) {
   const std::size_t m_panels = ceil_div(mc, kGemmMR);
-  for (std::size_t jr = jr_begin; jr < jr_end; ++jr) {
+  const std::size_t n_panels = ceil_div(nc, kGemmNR);
+  for (std::size_t jr = 0; jr < n_panels; ++jr) {
     const std::size_t j0 = jr * kGemmNR;
     const std::size_t nr = std::min(kGemmNR, nc - j0);
     const float* bp = bpack + jr * kc * kGemmNR;
@@ -247,6 +222,9 @@ void gemm_impl(Transpose trans_a, Transpose trans_b, std::size_t m,
                std::size_t n, std::size_t k, float alpha, const float* a,
                std::size_t lda, const float* b, std::size_t ldb, float beta,
                float* c, std::size_t ldc, const GemmEpilogue* epilogue) {
+  DS_CHECK(kernel_config().gemm_threads == 1,
+           "gemm: gemm_threads must be 1, got "
+               << kernel_config().gemm_threads);
   DS_CHECK(c != nullptr || m * n == 0, "gemm: null C");
   if (m == 0 || n == 0) return;
   {
@@ -268,73 +246,28 @@ void gemm_impl(Transpose trans_a, Transpose trans_b, std::size_t m,
   DS_CHECK(a != nullptr && b != nullptr, "gemm: null input");
   const bool ta = trans_a == Transpose::kYes;
   const bool tb = trans_b == Transpose::kYes;
-  const std::size_t threads = std::max<std::size_t>(
-      std::size_t{1}, kernel_config().gemm_threads);
 
-  // Deterministic M-grid shard: with few kGemmMC blocks, shrink the block
-  // (kGemmMR-aligned) so every thread gets one; leftover parallelism splits
-  // the jr panel range. Block geometry never changes a tile's value — each
-  // tile's k-reduction is fixed by the pc loop — so any partition is bitwise
-  // identical to serial.
-  std::size_t mc_eff = kGemmMC;
-  if (threads > 1 && ceil_div(m, mc_eff) < threads) {
-    mc_eff = std::max(kGemmMR, ceil_div(m, threads * kGemmMR) * kGemmMR);
-  }
-  const std::size_t m_blocks = ceil_div(m, mc_eff);
-
-  const auto run = [&](ThreadPool* pool) {
-    PackWorkspace& ws = pack_workspace();
-    for (std::size_t jc = 0; jc < n; jc += kGemmNC) {
-      const std::size_t nc = std::min(kGemmNC, n - jc);
-      const std::size_t jr_panels = ceil_div(nc, kGemmNR);
-      const std::size_t j_split =
-          pool == nullptr
-              ? 1
-              : std::min(std::max<std::size_t>(threads / m_blocks, 1),
-                         jr_panels);
-      const std::size_t jr_chunk = ceil_div(jr_panels, j_split);
-      for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
-        const std::size_t kc = std::min(kGemmKC, k - pc);
-        TileCtx ctx;
-        ctx.beta = beta;
-        ctx.first_k = pc == 0;
-        ctx.last_k = pc + kc == k;
-        ctx.epilogue = epilogue;
-        ws.b.ensure(jr_panels * kc * kGemmNR);
-        pack_b(tb, b, ldb, pc, kc, jc, nc, ws.b.data());
-        const float* bpack = ws.b.data();
-        const auto block = [&](std::size_t ic, std::size_t jr_begin,
-                               std::size_t jr_end, PackWorkspace& tws) {
-          const std::size_t mc = std::min(mc_eff, m - ic);
-          tws.a.ensure(ceil_div(mc, kGemmMR) * kc * kGemmMR);
-          pack_a(ta, a, lda, ic, mc, pc, kc, alpha, tws.a.data());
-          macro_kernel(mc, nc, kc, tws.a.data(), bpack, jr_begin, jr_end,
-                       c + ic * ldc + jc, ldc, ic, jc, ctx);
-        };
-        if (pool == nullptr) {
-          for (std::size_t ic = 0; ic < m; ic += mc_eff) {
-            block(ic, 0, jr_panels, ws);
-          }
-        } else {
-          pool->parallel_for(m_blocks * j_split, [&](std::size_t t) {
-            const std::size_t ic = (t / j_split) * mc_eff;
-            const std::size_t jr_begin =
-                std::min((t % j_split) * jr_chunk, jr_panels);
-            const std::size_t jr_end =
-                std::min(jr_begin + jr_chunk, jr_panels);
-            if (jr_begin >= jr_end) return;
-            block(ic, jr_begin, jr_end, pack_workspace());
-          });
-        }
+  PackWorkspace& ws = pack_workspace();
+  for (std::size_t jc = 0; jc < n; jc += kGemmNC) {
+    const std::size_t nc = std::min(kGemmNC, n - jc);
+    const std::size_t jr_panels = ceil_div(nc, kGemmNR);
+    for (std::size_t pc = 0; pc < k; pc += kGemmKC) {
+      const std::size_t kc = std::min(kGemmKC, k - pc);
+      TileCtx ctx;
+      ctx.beta = beta;
+      ctx.first_k = pc == 0;
+      ctx.last_k = pc + kc == k;
+      ctx.epilogue = epilogue;
+      ws.b.ensure(jr_panels * kc * kGemmNR);
+      pack_b(tb, b, ldb, pc, kc, jc, nc, ws.b.data());
+      for (std::size_t ic = 0; ic < m; ic += kGemmMC) {
+        const std::size_t mc = std::min(kGemmMC, m - ic);
+        ws.a.ensure(ceil_div(mc, kGemmMR) * kc * kGemmMR);
+        pack_a(ta, a, lda, ic, mc, pc, kc, alpha, ws.a.data());
+        macro_kernel(mc, nc, kc, ws.a.data(), ws.b.data(), c + ic * ldc + jc,
+                     ldc, ic, jc, ctx);
       }
     }
-  };
-
-  if (threads <= 1) {
-    run(nullptr);
-  } else {
-    const MutexLock lock(compute_pool_mutex());
-    run(&compute_pool(threads));
   }
 }
 
@@ -343,17 +276,6 @@ void gemm_impl(Transpose trans_a, Transpose trans_b, std::size_t m,
 KernelConfig& kernel_config() {
   static thread_local KernelConfig config;
   return config;
-}
-
-void kernel_parallel_for(std::size_t tasks, std::size_t threads,
-                         const std::function<void(std::size_t)>& fn) {
-  if (tasks == 0) return;
-  if (threads <= 1 || tasks == 1) {
-    for (std::size_t t = 0; t < tasks; ++t) fn(t);
-    return;
-  }
-  const MutexLock lock(compute_pool_mutex());
-  compute_pool(threads).parallel_for(tasks, fn);
 }
 
 void gemm(Transpose trans_a, Transpose trans_b, std::size_t m, std::size_t n,

@@ -17,12 +17,10 @@
 //
 // All four transpose combinations go through the same packed kernel (the
 // packing routines absorb the index swap), so there is exactly one code path
-// to test and tune. An opt-in threaded path shards the M/N micro-tile grid
-// across a dedicated compute ThreadPool with a deterministic partition: every
-// output tile is computed by exactly one task, in the same k-block reduction
-// order as the serial kernel, so results are bitwise identical to serial at
-// any thread count. All flop counting for the virtual-time compute model
-// uses gemm_flops().
+// to test and tune. The kernel is serial: parallelism lives across fabric
+// ranks (one OS thread each), never inside one call, and concurrent callers
+// on different threads share nothing. All flop counting for the virtual-time
+// compute model uses gemm_flops().
 #pragma once
 
 #include <cstddef>
@@ -54,13 +52,11 @@ struct GemmEpilogue {
   const float* col_bias = nullptr;
 };
 
-/// Per-thread kernel tuning knobs. gemm_threads is the number of compute
-/// threads a gemm() issued from *this* thread may use; 1 (the default) is
-/// the serial kernel. The knob is thread-local on purpose: fabric / Hogwild
-/// worker threads each start at the default of 1, so intra-GEMM threading
-/// never oversubscribes a machine already running one worker per core —
-/// only top-level callers (benches, single-process training) opt in.
+/// Per-thread kernel knobs.
 struct KernelConfig {
+  /// Must stay 1: the kernels are serial, and gemm() and the direct conv
+  /// kernels reject any other value. Kept only because perfbench still
+  /// assigns it; delete it at the next change to the benchmark.
   std::size_t gemm_threads = 1;
   /// Convolution kernel override for every Conv2D call issued from this
   /// thread (benches and property tests flip this to pin a path). kAuto

@@ -1,10 +1,12 @@
 // Property battery for the convolution dispatch layer: the direct 3×3
 // kernel against the im2col+GEMM reference over ragged H/W, channel counts
-// straddling the v16sf lane width, and pad-edge shapes; bitwise
-// parallel-vs-serial for both algorithms; the blocked-layout transform
+// straddling the v16sf lane width, and pad-edge shapes; bitwise equality of
+// concurrent callers with one serial caller for both algorithms; the
+// blocked-layout transform
 // round trip and its zero-fill contract; and the kAuto resolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -14,17 +16,13 @@
 #include "nn/layers.hpp"
 #include "nn/param_arena.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 #include "tensor/conv_algo.hpp"
 #include "tensor/direct_conv.hpp"
 #include "tensor/gemm.hpp"
 
 namespace ds {
 namespace {
-
-struct ThreadsGuard {
-  explicit ThreadsGuard(std::size_t n) { kernel_config().gemm_threads = n; }
-  ~ThreadsGuard() { kernel_config().gemm_threads = 1; }
-};
 
 struct AlgoGuard {
   explicit AlgoGuard(ConvAlgo a) { kernel_config().conv_algo = a; }
@@ -138,11 +136,13 @@ TEST_P(ConvAlgoCaseTest, DirectMatchesIm2col) {
 INSTANTIATE_TEST_SUITE_P(Shapes, ConvAlgoCaseTest,
                          ::testing::Range<std::size_t>(0, std::size(kCases)));
 
-// Both algorithms must be bitwise identical under gemm_threads > 1 — the
-// contract that keeps the determinism/chaos batteries meaningful.
+// Fabric ranks run their own conv layers from one OS thread each, with
+// thread-local GEMM workspaces and kernel config. Both algorithms must give
+// every concurrent caller the serial bits — the contract that keeps the determinism/chaos
+// batteries meaningful.
 class ConvAlgoDeterminismTest : public ::testing::TestWithParam<ConvAlgo> {};
 
-TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
+TEST_P(ConvAlgoDeterminismTest, ConcurrentCallersMatchSerial) {
   const ConvAlgo algo = GetParam();
   Rng rng(0xB17 + static_cast<std::uint64_t>(algo));
   const Tensor x = random_input(rng, 3, 17, 13, 19);
@@ -157,22 +157,35 @@ TEST_P(ConvAlgoDeterminismTest, ParallelBitwiseEqualsSerial) {
   }
   serial.backward(x, y_serial, dy, dx_serial);
 
-  for (const std::size_t threads : {2, 4, 7}) {
-    ThreadsGuard guard(threads);
-    BoundConv par(17, 10, algo, 5);
-    Tensor y_par, dx_par;
-    par.forward(x, y_par);
-    par.backward(x, y_par, dy, dx_par);
-    ASSERT_EQ(y_par.numel(), y_serial.numel());
-    ASSERT_EQ(0, std::memcmp(y_par.data(), y_serial.data(),
+  struct Result {
+    Tensor y, dx;
+    std::vector<float> grads;
+  };
+  constexpr std::size_t kCallers = 4;
+  std::vector<Result> out(kCallers);
+  parallel_for_threads(kCallers, [&](std::size_t caller) {
+    BoundConv conv(17, 10, algo, 5);
+    // Two passes each, so the callers' later passes overlap warm,
+    // already-grown workspaces as well as first-use growth.
+    for (int pass = 0; pass < 2; ++pass) {
+      conv.forward(x, out[caller].y);
+      std::fill(conv.grads.begin(), conv.grads.end(), 0.0f);
+      conv.backward(x, out[caller].y, dy, out[caller].dx);
+    }
+    out[caller].grads = conv.grads;
+  });
+  for (std::size_t caller = 0; caller < kCallers; ++caller) {
+    const Result& r = out[caller];
+    ASSERT_EQ(r.y.numel(), y_serial.numel());
+    ASSERT_EQ(0, std::memcmp(r.y.data(), y_serial.data(),
                              y_serial.numel() * sizeof(float)))
-        << conv_algo_name(algo) << " forward, " << threads << " threads";
-    ASSERT_EQ(0, std::memcmp(dx_par.data(), dx_serial.data(),
+        << conv_algo_name(algo) << " forward, caller " << caller;
+    ASSERT_EQ(0, std::memcmp(r.dx.data(), dx_serial.data(),
                              dx_serial.numel() * sizeof(float)))
-        << conv_algo_name(algo) << " dX, " << threads << " threads";
-    ASSERT_EQ(0, std::memcmp(par.grads.data(), serial.grads.data(),
+        << conv_algo_name(algo) << " dX, caller " << caller;
+    ASSERT_EQ(0, std::memcmp(r.grads.data(), serial.grads.data(),
                              serial.grads.size() * sizeof(float)))
-        << conv_algo_name(algo) << " dW/db, " << threads << " threads";
+        << conv_algo_name(algo) << " dW/db, caller " << caller;
   }
 }
 

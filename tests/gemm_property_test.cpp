@@ -2,12 +2,17 @@
 // transpose mode and shape, checked over randomized sweeps, plus the packed
 // kernel's contracts — non-contiguous leading dimensions, alpha/beta edge
 // cases, ragged shapes around every blocking boundary, the fused bias
-// epilogue, and bitwise serial/parallel equality of the threaded path.
+// epilogue, bitwise equality of concurrent callers with one serial caller,
+// and the rejection of any thread count other than 1.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "support/error.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
+#include "tensor/direct_conv.hpp"
 #include "tensor/gemm.hpp"
 
 namespace ds {
@@ -35,12 +40,6 @@ void naive_gemm(bool ta, bool tb, std::size_t m, std::size_t n, std::size_t k,
     }
   }
 }
-
-// RAII guard for the thread-local threading knob.
-struct ThreadsGuard {
-  explicit ThreadsGuard(std::size_t n) { kernel_config().gemm_threads = n; }
-  ~ThreadsGuard() { kernel_config().gemm_threads = 1; }
-};
 
 Mats random_mats(Rng& rng) {
   Mats mats;
@@ -312,46 +311,88 @@ TEST(GemmEpilogueTest, FusedBiasMatchesManualAdd) {
   }
 }
 
-TEST(GemmThreadingTest, ParallelIsBitwiseEqualToSerial) {
-  // The deterministic-partition contract: any thread count must reproduce
-  // the serial result bit for bit, for shapes straddling every block
-  // boundary and for all transpose modes.
+TEST(GemmThreadingTest, ConcurrentCallersMatchSerial) {
+  // Fabric ranks call the kernel from one OS thread each, every thread on its
+  // own thread-local packing workspace and kernel config. Several callers
+  // running shapes that straddle every block boundary, in all transpose
+  // modes, at once and in staggered order, must reproduce the serial bits.
   Rng rng(99);
   struct Case {
     std::size_t m, n, k;
+    bool ta, tb;
+    std::vector<float> a, b, c0, serial;
   };
-  const Case cases[] = {{kGemmMC + 5, kGemmNR * 3 + 1, kGemmKC + 9},
-                        {kGemmMR - 1, 200, 64},
-                        {200, kGemmNR - 3, kGemmKC * 2 + 1},
-                        {64, 64, 64}};
-  for (const auto& cs : cases) {
+  const std::size_t shapes[][3] = {{kGemmMC + 5, kGemmNR * 3 + 1, kGemmKC + 9},
+                                   {kGemmMR - 1, 200, 64},
+                                   {200, kGemmNR - 3, kGemmKC * 2 + 1},
+                                   {64, 64, 64}};
+  const auto t = [](bool yes) {
+    return yes ? Transpose::kYes : Transpose::kNo;
+  };
+  const auto run = [&](const Case& cs, std::vector<float>& c) {
+    c = cs.c0;
+    gemm(t(cs.ta), t(cs.tb), cs.m, cs.n, cs.k, 1.1f, cs.a.data(),
+         cs.ta ? cs.m : cs.k, cs.b.data(), cs.tb ? cs.k : cs.n, 0.3f,
+         c.data(), cs.n);
+  };
+  std::vector<Case> cases;
+  for (const auto& sh : shapes) {
     for (const bool ta : {false, true}) {
       for (const bool tb : {false, true}) {
-        std::vector<float> a(cs.m * cs.k), b(cs.k * cs.n), c0(cs.m * cs.n);
-        for (auto& v : a) v = static_cast<float>(rng.uniform(-1, 1));
-        for (auto& v : b) v = static_cast<float>(rng.uniform(-1, 1));
-        for (auto& v : c0) v = static_cast<float>(rng.uniform(-1, 1));
-        const auto t = [](bool yes) {
-          return yes ? Transpose::kYes : Transpose::kNo;
-        };
-        const std::size_t lda = ta ? cs.m : cs.k;
-        const std::size_t ldb = tb ? cs.k : cs.n;
-        std::vector<float> serial = c0;
-        gemm(t(ta), t(tb), cs.m, cs.n, cs.k, 1.1f, a.data(), lda, b.data(),
-             ldb, 0.3f, serial.data(), cs.n);
-        for (const std::size_t threads : {2, 4, 7}) {
-          ThreadsGuard guard(threads);
-          std::vector<float> parallel = c0;
-          gemm(t(ta), t(tb), cs.m, cs.n, cs.k, 1.1f, a.data(), lda, b.data(),
-               ldb, 0.3f, parallel.data(), cs.n);
-          ASSERT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                                   serial.size() * sizeof(float)))
-              << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k
-              << " ta=" << ta << " tb=" << tb << " threads=" << threads;
-        }
+        Case cs{sh[0], sh[1], sh[2], ta, tb, {}, {}, {}, {}};
+        cs.a.resize(cs.m * cs.k);
+        cs.b.resize(cs.k * cs.n);
+        cs.c0.resize(cs.m * cs.n);
+        for (auto& v : cs.a) v = static_cast<float>(rng.uniform(-1, 1));
+        for (auto& v : cs.b) v = static_cast<float>(rng.uniform(-1, 1));
+        for (auto& v : cs.c0) v = static_cast<float>(rng.uniform(-1, 1));
+        run(cs, cs.serial);
+        cases.push_back(std::move(cs));
       }
     }
   }
+  constexpr std::size_t kCallers = 4;
+  std::vector<std::vector<std::vector<float>>> out(
+      kCallers, std::vector<std::vector<float>>(cases.size()));
+  parallel_for_threads(kCallers, [&](std::size_t caller) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::size_t idx = (i + caller * 3) % cases.size();
+      run(cases[idx], out[caller][idx]);
+    }
+  });
+  for (std::size_t caller = 0; caller < kCallers; ++caller) {
+    for (std::size_t idx = 0; idx < cases.size(); ++idx) {
+      const Case& cs = cases[idx];
+      ASSERT_EQ(0, std::memcmp(cs.serial.data(), out[caller][idx].data(),
+                               cs.serial.size() * sizeof(float)))
+          << "m=" << cs.m << " n=" << cs.n << " k=" << cs.k
+          << " ta=" << cs.ta << " tb=" << cs.tb << " caller=" << caller;
+    }
+  }
+}
+
+TEST(GemmTest, RejectsGemmThreadsOtherThanOne) {
+  std::vector<float> a(4, 1.0f), b(4, 1.0f), c(4, 0.0f);
+  const BlockedLayout layout{1, 2, 2, 1};
+  std::vector<float> x(layout.image_floats(), 0.0f), w(9, 0.0f), y(4);
+  std::vector<float> dw(9, 0.0f), db(1, 0.0f);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+    kernel_config().gemm_threads = threads;
+    EXPECT_THROW(gemm(Transpose::kNo, Transpose::kNo, 2, 2, 2, 1.0f, a.data(),
+                      b.data(), 0.0f, c.data()),
+                 Error);
+    EXPECT_THROW(direct_conv3x3_forward(layout, 1, 1, x.data(), w.data(),
+                                        nullptr, y.data()),
+                 Error);
+    EXPECT_THROW(direct_conv3x3_backward_weights(layout, 1, 1, x.data(),
+                                                 x.data(), dw.data(),
+                                                 db.data()),
+                 Error);
+  }
+  kernel_config().gemm_threads = 1;
+  gemm(Transpose::kNo, Transpose::kNo, 2, 2, 2, 1.0f, a.data(), b.data(),
+       0.0f, c.data());
+  EXPECT_EQ(c, std::vector<float>(4, 2.0f));
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "comm/ledger.hpp"
 #include "obs/monitor/monitor.hpp"
 #include "obs/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace ds {
 namespace {
@@ -84,17 +83,6 @@ TEST(ObsOverhead, DisabledWildcardAndFaultedStepsTouchNothing) {
     ASSERT_NE(a.first, b.first);
     ASSERT_EQ(a.second.size() + b.second.size(), 2u);
   }
-  base.expect_untouched();
-}
-
-TEST(ObsOverhead, DisabledThreadPoolTouchesNothing) {
-  obs::set_tracing_enabled(false);
-  ThreadPool pool(2);
-  // Warm the pool (metrics registration happens on the first submit),
-  // then measure a steady-state burst.
-  pool.parallel_for(8, [](std::size_t) {});
-  const RecorderBaseline base;
-  pool.parallel_for(256, [](std::size_t) {});
   base.expect_untouched();
 }
 

@@ -1,5 +1,8 @@
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,28 +165,46 @@ TEST(Error, CheckPassesSilently) {
   EXPECT_NO_THROW(DS_CHECK(true, "never"));
 }
 
-// ------------------------------ ThreadPool ----------------------------------
+// -------------------------- parallel_for_threads ----------------------------
 
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
-}
-
-TEST(ThreadPool, ParallelForThreadsCoversIndices) {
+TEST(ParallelForThreads, CoversIndices) {
   std::vector<std::atomic<int>> hits(8);
   parallel_for_threads(8, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForThreads, RethrowsFirstFailureAfterJoiningAll) {
+  // Set from a thread_local destructor, i.e. only once the worker's thread
+  // function has returned — after its exception has been captured.
+  struct SetOnThreadExit {
+    std::atomic<bool>* flag = nullptr;
+    ~SetOnThreadExit() {
+      if (flag != nullptr) flag->store(true);
+    }
+  };
+  std::atomic<bool> first_thrower_exited{false};
+  std::vector<std::atomic<int>> finished(4);
+  try {
+    parallel_for_threads(4, [&](std::size_t i) {
+      if (i == 1) {
+        thread_local SetOnThreadExit on_exit;
+        on_exit.flag = &first_thrower_exited;
+        throw std::runtime_error("first");
+      }
+      if (i == 3) {
+        while (!first_thrower_exited.load()) std::this_thread::yield();
+        throw std::runtime_error("second");
+      }
+      // The healthy workers outlive both failures.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished[i].store(1);
+    });
+    FAIL() << "expected the worker failure to be rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_EQ(finished[0].load(), 1);
+  EXPECT_EQ(finished[2].load(), 1);
 }
 
 // -------------------------------- Timer -------------------------------------
